@@ -41,11 +41,10 @@ def main():
     Z2 /= np.linalg.norm(Z2, axis=1, keepdims=True)
     C = np.ascontiguousarray(1.0 - Z1 @ Z2.T)
     K = np.exp(-C / args.epsilon)
-    KT = np.ascontiguousarray(K.T)
     ones = np.ones(B)
 
-    sink_args = (K, KT, C, ones, ones, args.epsilon, args.iters, 1e-6, False, 1e3, 1e-30)
-    uot_args = (K, KT, C, ones, ones, args.epsilon, 1.0, 1.0, args.iters, 1e3, 1e-30)
+    sink_args = (K, C, ones, ones, args.epsilon, args.iters, 1e-6, False, 1e3, 1e-30)
+    uot_args = (K, C, ones, ones, args.epsilon, 1.0, 1.0, args.iters, 1e3, 1e-30)
 
     backends = [("numpy", _backends.numpy_backend)]
     if _backends.numba_backend is not None:

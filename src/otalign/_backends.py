@@ -12,30 +12,32 @@ import os
 import numpy as np
 
 
-def _sinkhorn_core(K, KT, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
+def _sinkhorn_core(K, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
     """Gauss-Seidel scaling loop with log-domain absorption.
 
-    Returns total dual potentials (f, g), per-half-step potential and
-    residual trajectories, the number of half-steps taken, and the number
-    of full iterations run.
+    Two matvecs per iteration: ``Kw.T @ u`` serves the column update and
+    both column residuals, and ``Kw @ v`` serves the even half-step's row
+    residual and the next iteration's row update.  Returns total dual
+    potentials (f, g), per-half-step potential and residual trajectories,
+    the number of half-steps taken, and the number of full iterations run.
     """
     B = K.shape[0]
     u = np.ones(B)
     v = np.ones(B)
     fa = np.zeros(B)  # absorbed part of f
     ga = np.zeros(B)
-    Kw = K.copy()
-    KTw = KT.copy()
+    Kw = K  # replaced by an owned buffer at the first absorption
+    owned = False
     F = np.zeros((2 * max_iter, B))
     G = np.zeros((2 * max_iter, B))
     row_err = np.zeros(2 * max_iter)
     col_err = np.zeros(2 * max_iter)
     nh = 0
     iters = 0
+    Kv = Kw @ v
     for _ in range(max_iter):
-        Kv = Kw @ v
         u = mu / (Kv + floor)
-        KTu = KTw @ u
+        KTu = Kw.T @ u
         # odd half-step: rows feasible by construction
         F[nh] = fa + eps * np.log(u)
         G[nh] = ga + eps * np.log(v)
@@ -44,9 +46,9 @@ def _sinkhorn_core(K, KT, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
         nh += 1
         v = nu / (KTu + floor)
         # even half-step: columns feasible, row residual needs one matvec
-        Kv2 = Kw @ v
-        re = np.sum(np.abs(u * Kv2 - mu))
-        ce = np.sum(np.abs(v * (KTw @ u) - nu))
+        Kv = Kw @ v
+        re = np.sum(np.abs(u * Kv - mu))
+        ce = np.sum(np.abs(v * KTu - nu))
         F[nh] = fa + eps * np.log(u)
         G[nh] = ga + eps * np.log(v)
         row_err[nh] = re
@@ -58,20 +60,31 @@ def _sinkhorn_core(K, KT, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
         if np.max(u) > tau or np.max(v) > tau:
             fa = fa + eps * np.log(u)
             ga = ga + eps * np.log(v)
-            Kw = np.exp((fa.reshape(B, 1) + ga.reshape(1, B) - C) / eps)
-            KTw = Kw.T.copy()
+            if not owned:
+                Kw = np.empty_like(K)
+                owned = True
+            # one buffer serves every absorption: fresh B x B arrays per
+            # absorption raise the peak resident set of long solves
+            np.add(fa.reshape(B, 1), ga.reshape(1, B), Kw)
+            Kw -= C
+            Kw /= eps
+            np.exp(Kw, Kw)
             u = np.ones(B)
             v = np.ones(B)
+            Kv = Kw @ v
     f = fa + eps * np.log(u)
     g = ga + eps * np.log(v)
     return f, g, F, G, row_err, col_err, nh, iters
 
 
-def _uot_core(K, KT, C, mu, nu, eps, lam1, lam2, max_iter, tau, floor):
+def _uot_core(K, C, mu, nu, eps, lam1, lam2, max_iter, tau, floor):
     """Exponent-damped scaling loop for KL-relaxed marginals.
 
     Returns total log scalings (log u, log v), the total log v from the
-    start of the final iteration, and the iteration count.
+    start of the final iteration, the column sums of the final plan
+    diag(u) K diag(v) (taken from the last ``Kw.T @ u``, which absorption
+    leaves valid because it does not change the plan), and the iteration
+    count.
     """
     B = K.shape[0]
     fi1 = lam1 / (lam1 + eps)
@@ -80,25 +93,33 @@ def _uot_core(K, KT, C, mu, nu, eps, lam1, lam2, max_iter, tau, floor):
     v = np.ones(B)
     fa = np.zeros(B)
     ga = np.zeros(B)
-    Kw = K.copy()
-    KTw = KT.copy()
+    Kw = K  # replaced by an owned buffer at the first absorption
+    owned = False
     log_v_prev = np.zeros(B)
+    col = np.zeros(B)
     for _ in range(max_iter):
         log_v_prev = ga / eps + np.log(v)
         df = np.exp(-fa / (eps + lam1))
         u = df * (mu / (Kw @ v + floor)) ** fi1
         dg = np.exp(-ga / (eps + lam2))
-        v = dg * (nu / (KTw @ u + floor)) ** fi2
+        KTu = Kw.T @ u
+        v = dg * (nu / (KTu + floor)) ** fi2
+        col = v * KTu
         if np.max(u) > tau or np.max(v) > tau:
             fa = fa + eps * np.log(u)
             ga = ga + eps * np.log(v)
-            Kw = np.exp((fa.reshape(B, 1) + ga.reshape(1, B) - C) / eps)
-            KTw = Kw.T.copy()
+            if not owned:
+                Kw = np.empty_like(K)
+                owned = True
+            np.add(fa.reshape(B, 1), ga.reshape(1, B), Kw)
+            Kw -= C
+            Kw /= eps
+            np.exp(Kw, Kw)
             u = np.ones(B)
             v = np.ones(B)
     log_u = fa / eps + np.log(u)
     log_v = ga / eps + np.log(v)
-    return log_u, log_v, log_v_prev, max_iter
+    return log_u, log_v, log_v_prev, col, max_iter
 
 
 numpy_backend = {"sinkhorn_core": _sinkhorn_core, "uot_core": _uot_core}

@@ -8,12 +8,15 @@ embeddings, which is what the finite-difference checker uses.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
+from . import _backends
 from .kernel import cosine_cost, gibbs_kernel
-from .plans import identity_plan
-from .solver import SolverOptions, default_marginals, sinkhorn
+from .plans import check_batch_size, identity_plan
+from .solver import SolverError, SolverOptions, check_kernel, default_marginals, sinkhorn
 from .uot import UotOptions, _solve_scalings
 
 
@@ -23,11 +26,23 @@ class LossError(Exception):
 
 @dataclass(frozen=True)
 class LossResult:
+    """Loss value, gradients for both batches, and what the loss measured.
+
+    ``plan`` is the transport plan the loss compared against the target,
+    or None for losses without one.  It is computed on first read from
+    ``make_plan`` and then kept, so a caller that never reads it (training)
+    never pays for a B x B plan the loss itself did not need.
+    """
+
     value: float
     grad_z1: np.ndarray
     grad_z2: np.ndarray
-    plan: np.ndarray = None
+    make_plan: Callable[[], np.ndarray] = None
     frozen: dict = None
+
+    @cached_property
+    def plan(self):
+        return None if self.make_plan is None else self.make_plan()
 
 
 def _check_batch(Z1, Z2):
@@ -69,15 +84,16 @@ def ince_loss(Z1, Z2, epsilon=0.5):
     Z1, Z2 = _check_batch(Z1, Z2)
     s = (Z1 @ Z2.T) / epsilon
     m = s.max(axis=1)
-    lse = np.log(np.exp(s - m[:, None]).sum(axis=1)) + m
-    value = float(np.sum(lse - np.diag(s)))
-    P = np.exp(s - lse[:, None])
-    I = np.eye(Z1.shape[0])
+    P = np.exp(s - m[:, None])
+    sums = P.sum(axis=1)
+    lse = np.log(sums) + m
+    value = float(np.sum(lse - np.diagonal(s)))
+    P /= sums[:, None]  # softmax rows: exp(s - lse)
     return LossResult(
         value=value,
-        grad_z1=(P - I) @ Z2 / epsilon,
-        grad_z2=(P - I).T @ Z1 / epsilon,
-        plan=P,
+        grad_z1=(P @ Z2 - Z2) / epsilon,
+        grad_z2=(P.T @ Z1 - Z1) / epsilon,
+        make_plan=lambda: P,
     )
 
 
@@ -119,7 +135,7 @@ def gca_ince_loss(Z1, Z2, epsilon=0.5, n_iters=5, target=None, half_step=False,
         value=value,
         grad_z1=-dLdC @ Z2,
         grad_z2=-dLdC.T @ Z1,
-        plan=P,
+        make_plan=lambda: P,
         frozen={"f": f, "g": g},
     )
 
@@ -129,12 +145,15 @@ def rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):
     Z1, Z2 = _check_batch(Z1, Z2)
     _check_rince(q, lam)
     s = (Z1 @ Z2.T) / epsilon
-    lse = np.logaddexp.reduce(s, axis=1)
-    pos = np.exp(q * np.diag(s))
+    m = s.max(axis=1)
+    e = np.exp(s - m[:, None])
+    lse = np.log(e.sum(axis=1)) + m
+    pos = np.exp(q * np.diagonal(s))
     if lam > 0:
         neg = np.exp(q * (lse + np.log(lam)))
-        # c_ij = d(value)/d(s_ij)
-        c = np.exp((q - 1.0) * lse[:, None] + s + q * np.log(lam))
+        # c_ij = d(value)/d(s_ij) = exp((q - 1) lse_i + s_ij + q log lam)
+        c = e
+        c *= np.exp((q - 1.0) * lse + m + q * np.log(lam))[:, None]
     else:
         neg = np.zeros_like(pos)
         c = np.zeros_like(s)
@@ -144,7 +163,6 @@ def rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):
         value=value,
         grad_z1=c @ Z2 / epsilon,
         grad_z2=c.T @ Z1 / epsilon,
-        plan=None,
     )
 
 
@@ -179,28 +197,39 @@ def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
     Z1, Z2 = _check_batch(Z1, Z2)
     _check_rince(q, lam)
     B = Z1.shape[0]
-    tgt = identity_plan(B) if target is None else np.asarray(target, dtype=np.float64)
-    C = cosine_cost(Z1, Z2)
-    K = np.exp(-C / epsilon)
+    if target is None:
+        check_batch_size(B)
+        t_diag = np.ones(B)
+    else:
+        t_diag = np.diagonal(np.asarray(target, dtype=np.float64))
+    K = gibbs_kernel(cosine_cost(Z1, Z2), epsilon)
+    Km = K.matrix
     if frozen is not None:
         v_prev = frozen["v_prev"]
     elif n_iters >= 2:
-        _, _, traj = _solve_plan(Z1, Z2, epsilon, n_iters - 1)
-        v_prev = np.exp(traj.g[2 * (n_iters - 1) - 1] / epsilon)
+        check_kernel(Km)
+        opts = SolverOptions(max_iterations=n_iters - 1)
+        _, g, *_ = _backends.sinkhorn_core(
+            Km, K.cost, np.ones(B), np.ones(B), epsilon, opts.max_iterations,
+            opts.tolerance, False, opts.absorption_threshold, opts.floor,
+        )
+        v_prev = np.exp(g / epsilon)
+        if not np.all(np.isfinite(v_prev)):
+            raise SolverError(f"overflow despite absorption at iteration {n_iters - 1}")
     else:
         v_prev = np.ones(B)
-    Kv = K @ v_prev
-    pos = (np.diag(K) * v_prev) ** q
-    neg = (lam * np.diag(tgt) * Kv) ** q if lam > 0 else np.zeros_like(pos)
+    Kv = Km @ v_prev
+    pos = (np.diagonal(Km) * v_prev) ** q
+    neg = (lam * t_diag * Kv) ** q if lam > 0 else np.zeros_like(pos)
     value = float(np.sum(neg - pos) / q)
-    # d(value)/dC: attraction on the diagonal, repulsion through K v
-    dLdC = -(neg / np.maximum(Kv, 1e-300))[:, None] * (K * v_prev[None, :]) / epsilon
-    dLdC[np.diag_indices_from(dLdC)] += pos / epsilon
+    # -d(value)/dC = (a_i K_ij v_j - pos_i [i == j]) / eps with a = neg / (K v):
+    # repulsion through K v, attraction on the diagonal
+    a = neg / np.maximum(Kv, 1e-300)
+    d = pos / epsilon
     return LossResult(
         value=value,
-        grad_z1=-dLdC @ Z2,
-        grad_z2=-dLdC.T @ Z1,
-        plan=None,
+        grad_z1=a[:, None] * (Km @ (v_prev[:, None] * Z2)) / epsilon - d[:, None] * Z2,
+        grad_z2=v_prev[:, None] * (Km.T @ (a[:, None] * Z1)) / epsilon - d[:, None] * Z1,
         frozen={"v_prev": v_prev},
     )
 
@@ -216,17 +245,26 @@ def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
     and large penalties it approaches the proximal form of the robust
     loss, and with weight 0 and large penalties it approaches the
     balanced KL loss.
+
+    The plan diag(u) K diag(v) (columns rescaled to unit sums when
+    ``column_normalize`` is set) is never formed: its products with the
+    embeddings go through K, and the KL term comes from the log scalings,
+    log P_ij = log u_i + log v_j - C_ij / eps.  ``plan`` on the result
+    rebuilds it on first read.
     """
     Z1, Z2 = _check_batch(Z1, Z2)
     _check_rince(q, lam)
     if not (0.0 <= weight <= 1.0):
         raise LossError("weight must lie in [0, 1]")
     B = Z1.shape[0]
-    tgt = identity_plan(B) if target is None else np.asarray(target, dtype=np.float64)
+    if target is None:
+        check_batch_size(B)
     C = cosine_cost(Z1, Z2)
     K = gibbs_kernel(C, epsilon)
+    Km = K.matrix
     if frozen is not None:
         log_u, log_v, log_v_prev = frozen["log_u"], frozen["log_v"], frozen["log_v_prev"]
+        col = None
     else:
         opts = UotOptions(
             lambda1=lambda1,
@@ -235,38 +273,55 @@ def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
             iterations=n_iters,
             column_normalize=False,
         )
-        log_u, log_v, log_v_prev, _ = _solve_scalings(K, default_marginals(B), opts)
-    P = np.exp(log_u)[:, None] * K.matrix * np.exp(log_v)[None, :]
-    # KL evaluated on the support of the target only; the gradient terms
-    # are assembled without materializing d(loss)/dC as a full matrix
-    ti, tj = np.nonzero(tgt)
-    tv = tgt[ti, tj]
-    if column_normalize:
-        s = P.sum(axis=0)
-        kl = float(
-            np.sum(tv * (np.log(tv) - np.log(P[ti, tj]) + np.log(s)[tj]))
-            - tgt.sum() + B
-        )
-        w = tgt.sum(axis=0) / s
-        Pw = P * w[None, :]
+        log_u, log_v, log_v_prev, col, _ = _solve_scalings(K, default_marginals(B), opts)
+    u = np.exp(log_u)
+    v = np.exp(log_v)
+    if col is None:
+        col = v * (Km.T @ u)
+    # KL(T || P) needs from the target only its column sums, its diagonal,
+    # sum t log t, sum t log P and the products T @ Z2, T' @ Z1
+    if target is None:
+        c = t_diag = np.ones(B)
+        t_log_t = 0.0
+        t_log_p = float(np.sum(log_u + log_v) - np.trace(C) / epsilon)
+        TZ2, TtZ1 = Z2, Z1
     else:
-        kl = float(
-            np.sum(tv * (np.log(tv) - np.log(P[ti, tj]))) - tgt.sum() + P.sum()
-        )
-        Pw = P
-    pos = (np.diag(K.matrix) * np.exp(log_v_prev)) ** q
-    neg = (lam * np.diag(tgt) / np.exp(log_u)) ** q if lam > 0 else np.zeros_like(pos)
+        T = np.asarray(target, dtype=np.float64)
+        c = T.sum(axis=0)
+        t_diag = np.diagonal(T)
+        t_log_t = float(np.sum(T * np.log(np.where(T > 0, T, 1.0))))
+        t_log_p = float(T.sum(axis=1) @ log_u + c @ log_v - np.vdot(T, C) / epsilon)
+        TZ2, TtZ1 = T @ Z2, T.T @ Z1
+    t_mass = float(c.sum())
+    if column_normalize:
+        kl = t_log_t - t_log_p + float(c @ np.log(col)) - t_mass + B
+        w = c / col  # column weights of Pw = P diag(w)
+    else:
+        kl = t_log_t - t_log_p - t_mass + float(col.sum())
+        w = np.ones(B)
+    pos = (np.diagonal(Km) * np.exp(log_v_prev)) ** q
+    neg = (lam * t_diag / u) ** q if lam > 0 else np.zeros_like(pos)
     robust = float(np.sum(neg - pos) / q)
     value = weight * robust + (1.0 - weight) * kl
     ck = (1.0 - weight) / epsilon
     diag = weight * pos / epsilon
-    grad_z1 = ck * (Pw @ Z2 - tgt @ Z2) - diag[:, None] * Z2
-    grad_z2 = ck * (Pw.T @ Z1 - tgt.T @ Z1) - diag[:, None] * Z1
+    vw = v * w
+    grad_z1 = ck * (u[:, None] * (Km @ (vw[:, None] * Z2)) - TZ2) - diag[:, None] * Z2
+    grad_z2 = ck * (vw[:, None] * (Km.T @ (u[:, None] * Z1)) - TtZ1) - diag[:, None] * Z1
+    if not (np.isfinite(value) and np.all(np.isfinite(grad_z1)) and np.all(np.isfinite(grad_z2))):
+        raise SolverError(
+            f"non-finite loss at epsilon={epsilon}: the kernel underflows or the scalings overflow"
+        )
+
+    def make_plan():
+        P = u[:, None] * gibbs_kernel(cosine_cost(Z1, Z2), epsilon).matrix * v[None, :]
+        return P / P.sum(axis=0)[None, :] if column_normalize else P
+
     return LossResult(
         value=value,
         grad_z1=grad_z1,
         grad_z2=grad_z2,
-        plan=P / s[None, :] if column_normalize else P,
+        make_plan=make_plan,
         frozen={"log_u": log_u, "log_v": log_v, "log_v_prev": log_v_prev},
     )
 
@@ -282,7 +337,6 @@ def byol_loss(Q, Z2):
         value=float(np.sum(d * d)),
         grad_z1=2.0 * d,
         grad_z2=np.zeros_like(Z2),
-        plan=None,
     )
 
 

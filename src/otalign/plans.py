@@ -7,9 +7,14 @@ class PlanError(Exception):
     pass
 
 
-def identity_plan(B):
+def check_batch_size(B):
+    """The identity target needs at least two samples."""
     if B < 2:
         raise PlanError("batch size must be at least 2")
+
+
+def identity_plan(B):
+    check_batch_size(B)
     return np.eye(B)
 
 

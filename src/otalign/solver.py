@@ -58,6 +58,14 @@ class TransportPlan:
     col_residual: float
 
 
+def _gibbs_plan(f, g, C, epsilon):
+    """exp((f_i + g_j - C_ij) / epsilon), computed in one B x B buffer."""
+    P = f[:, None] + g[None, :]
+    P -= C
+    P /= epsilon
+    return np.exp(P, out=P)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Per-half-step total dual potentials and L1 marginal residuals.
@@ -80,7 +88,7 @@ class Trajectory:
     def plan_at(self, half_step):
         fh = self.f[half_step - 1]
         gh = self.g[half_step - 1]
-        return np.exp((fh[:, None] + gh[None, :] - self.cost) / self.epsilon)
+        return _gibbs_plan(fh, gh, self.cost, self.epsilon)
 
 
 def _as_matrix(P):
@@ -108,6 +116,12 @@ def project_cols(P, nu):
     return P * (np.asarray(nu) / sums)[None, :]
 
 
+def check_kernel(Km):
+    """Raise SolverError unless every kernel entry is positive and finite."""
+    if not (np.min(Km) > 0 and np.max(Km) < np.inf):
+        raise SolverError("kernel must be strictly positive and finite")
+
+
 def sinkhorn(K: GibbsKernel, marginals=None, opts=None):
     """Alternating row/column scalings of K with log-domain absorption.
 
@@ -118,8 +132,7 @@ def sinkhorn(K: GibbsKernel, marginals=None, opts=None):
     if not isinstance(K, GibbsKernel):
         raise SolverError("sinkhorn expects a GibbsKernel")
     Km = K.matrix
-    if np.any(Km <= 0) or not np.all(np.isfinite(Km)):
-        raise SolverError("kernel must be strictly positive and finite")
+    check_kernel(Km)
     B = Km.shape[0]
     if marginals is None:
         marginals = default_marginals(B)
@@ -129,7 +142,6 @@ def sinkhorn(K: GibbsKernel, marginals=None, opts=None):
     Km = np.ascontiguousarray(Km)
     f, g, F, G, row_err, col_err, nh, iters = _backends.sinkhorn_core(
         Km,
-        np.ascontiguousarray(Km.T),
         np.ascontiguousarray(K.cost),
         mu,
         nu,
@@ -150,7 +162,7 @@ def sinkhorn(K: GibbsKernel, marginals=None, opts=None):
         cost=K.cost,
         epsilon=K.epsilon,
     )
-    P = np.exp((f[:, None] + g[None, :] - K.cost) / K.epsilon)
+    P = _gibbs_plan(f, g, K.cost, K.epsilon)
     rr = float(np.sum(np.abs(P.sum(axis=1) - mu)))
     cr = float(np.sum(np.abs(P.sum(axis=0) - nu)))
     state = ScalingState(
@@ -204,5 +216,5 @@ def dual_objective(f, g, C, epsilon, marginals):
     mh = mu / mu.sum()
     nh = nu / nu.sum()
     lin = float(f @ mh + g @ nh)
-    expo = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+    expo = _gibbs_plan(f, g, C, epsilon)
     return lin - epsilon * float(mh @ expo @ nh) + epsilon

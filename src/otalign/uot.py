@@ -27,15 +27,14 @@ class UotOptions:
 
 
 def _solve_scalings(K: GibbsKernel, marginals, opts):
-    """Raw core call: (log_u, log_v, log_v_prev, iterations).
+    """Raw core call: (log_u, log_v, log_v_prev, col_sums, iterations).
 
     log_v_prev is the column scaling entering the final sweep, which the
-    robust losses need alongside the finished scalings.
+    robust losses need alongside the finished scalings; col_sums are the
+    column sums of the unnormalized plan diag(u) K diag(v).
     """
-    Km = np.ascontiguousarray(K.matrix)
     return _backends.uot_core(
-        Km,
-        np.ascontiguousarray(Km.T),
+        np.ascontiguousarray(K.matrix),
         np.ascontiguousarray(K.cost),
         np.asarray(marginals.mu, dtype=np.float64),
         np.asarray(marginals.nu, dtype=np.float64),
@@ -62,13 +61,12 @@ def unbalanced_sinkhorn(K: GibbsKernel, marginals=None, opts=None):
     opts = opts or UotOptions(epsilon=K.epsilon)
     if abs(opts.epsilon - K.epsilon) > 1e-12 * max(1.0, K.epsilon):
         raise SolverError("options epsilon must match the kernel epsilon")
-    Km = np.ascontiguousarray(K.matrix)
-    B = Km.shape[0]
+    B = K.matrix.shape[0]
     if marginals is None:
         marginals = default_marginals(B)
     mu = np.asarray(marginals.mu, dtype=np.float64)
     nu = np.asarray(marginals.nu, dtype=np.float64)
-    log_u, log_v, log_v_prev, iters = _solve_scalings(K, marginals, opts)
+    log_u, log_v, _, _, iters = _solve_scalings(K, marginals, opts)
     if not (np.all(np.isfinite(log_u)) and np.all(np.isfinite(log_v))):
         raise SolverError("overflow despite absorption in unbalanced solve")
     f = K.epsilon * log_u

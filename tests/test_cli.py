@@ -122,10 +122,19 @@ def test_loss_matches_library(embedding_files, capsys):
 
 
 def test_loss_plan_out(embedding_files, tmp_path, capsys):
+    from otalign.kernel import cosine_cost, gibbs_kernel
+    from otalign.uot import UotOptions, unbalanced_sinkhorn
+
     z1, z2 = embedding_files
     plan_path = str(tmp_path / "plan.csv")
     assert main(["loss", "--loss", "gca-ince", z1, z2, "--plan-out", plan_path]) == 0
     assert read_matrix_csv(plan_path).shape == (6, 6)
+    # gca-uot builds its plan only when asked; it must equal the dense
+    # column-normalized unbalanced plan at the CLI defaults
+    assert main(["loss", "--loss", "gca-uot", z1, z2, "--plan-out", plan_path]) == 0
+    K = gibbs_kernel(cosine_cost(read_matrix_csv(z1), read_matrix_csv(z2)), 0.5)
+    dense, _ = unbalanced_sinkhorn(K, opts=UotOptions(epsilon=0.5, iterations=5))
+    assert np.allclose(read_matrix_csv(plan_path), dense.matrix, rtol=1e-12, atol=0.0)
 
 
 def test_loss_shape_mismatch(tmp_path, capsys):

@@ -15,7 +15,9 @@ from otalign.losses import (
     rince_loss,
     rince_proximal_form,
 )
-from otalign.plans import block_domain_plan
+from otalign.plans import PlanError, block_domain_plan
+from otalign.solver import SolverError, SolverOptions, default_marginals, sinkhorn
+from otalign.uot import UotOptions, _solve_scalings
 
 
 def pair(rng, B=8, d=6):
@@ -184,6 +186,135 @@ def test_gca_ince_custom_target(rng):
     res = gca_ince_loss(Z1, Z2, epsilon=0.5, target=tgt)
     assert np.isfinite(res.value)
     assert res.grad_z1.shape == Z1.shape
+
+
+# ----------------------------------------- dense reference formulas
+#
+# gca-rince and gca-uot compute their value and gradients through K and
+# the scalings without forming the plan or d(loss)/dC.  These are the
+# same quantities written out with dense B x B matrices.
+
+
+def dense_gca_rince(Z1, Z2, eps, q, lam, target, v_prev):
+    tgt = np.eye(len(Z1)) if target is None else target
+    K = np.exp(-cosine_cost(Z1, Z2) / eps)
+    Kv = K @ v_prev
+    pos = (np.diag(K) * v_prev) ** q
+    neg = (lam * np.diag(tgt) * Kv) ** q if lam > 0 else np.zeros_like(pos)
+    dLdC = -(neg / np.maximum(Kv, 1e-300))[:, None] * (K * v_prev[None, :]) / eps
+    dLdC[np.diag_indices_from(dLdC)] += pos / eps
+    return float(np.sum(neg - pos) / q), -dLdC @ Z2, -dLdC.T @ Z1
+
+
+def dense_gca_uot(Z1, Z2, eps, q, lam, weight, target, column_normalize,
+                  log_u, log_v, log_v_prev):
+    B = len(Z1)
+    tgt = np.eye(B) if target is None else target
+    K = np.exp(-cosine_cost(Z1, Z2) / eps)
+    P = np.exp(log_u)[:, None] * K * np.exp(log_v)[None, :]
+    ti, tj = np.nonzero(tgt)
+    tv = tgt[ti, tj]
+    if column_normalize:
+        s = P.sum(axis=0)
+        kl = np.sum(tv * (np.log(tv) - np.log(P[ti, tj]) + np.log(s)[tj])) - tgt.sum() + B
+        Pw = P * (tgt.sum(axis=0) / s)[None, :]
+    else:
+        kl = np.sum(tv * (np.log(tv) - np.log(P[ti, tj]))) - tgt.sum() + P.sum()
+        Pw = P
+    pos = (np.diag(K) * np.exp(log_v_prev)) ** q
+    neg = (lam * np.diag(tgt) / np.exp(log_u)) ** q if lam > 0 else np.zeros_like(pos)
+    value = weight * np.sum(neg - pos) / q + (1.0 - weight) * kl
+    ck = (1.0 - weight) / eps
+    d = weight * pos / eps
+    g1 = ck * (Pw @ Z2 - tgt @ Z2) - d[:, None] * Z2
+    g2 = ck * (Pw.T @ Z1 - tgt.T @ Z1) - d[:, None] * Z1
+    return float(value), g1, g2
+
+
+def assert_matches_dense(res, dense, tol=1e-12):
+    value, g1, g2 = dense
+    assert abs(res.value - value) <= tol * abs(value), (res.value, value)
+    for got, want in ((res.grad_z1, g1), (res.grad_z2, g2)):
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+DENSE_CASES = {
+    "identity": {},
+    "block-target": {"target": block_domain_plan([0, 0, 0, 1, 1, 2, 2, 2], 0.5, 0.2)},
+    "frozen": {"frozen": True},
+    "lam0": {"lam": 0.0},
+    "absorbing": {"epsilon": 0.05, "independent": True},
+}
+
+
+def dense_case_batch(rng, case):
+    Z1, Z2 = pair(rng)
+    if not case.get("independent"):
+        Z2 = normalize_rows(Z1 + 0.3 * rng.standard_normal(Z1.shape))
+    return Z1, Z2
+
+
+@pytest.mark.parametrize("name", list(DENSE_CASES) + ["one-sweep"])
+def test_gca_rince_matches_dense_formula(rng, name):
+    case = dict(DENSE_CASES.get(name, {"n_iters": 1}))
+    Z1, Z2 = dense_case_batch(rng, case)
+    eps = case.get("epsilon", 0.5)
+    kw = {"epsilon": eps, "q": 0.98, "lam": case.get("lam", 0.01),
+          "n_iters": case.get("n_iters", 5), "target": case.get("target")}
+    res = gca_rince_loss(Z1, Z2, **kw)
+    if kw["n_iters"] >= 2:
+        K = gibbs_kernel(cosine_cost(Z1, Z2), eps)
+        _, _, traj = sinkhorn(K, opts=SolverOptions(max_iterations=kw["n_iters"] - 1))
+        v_prev = np.exp(traj.g[-1] / eps)
+    else:
+        v_prev = np.ones(len(Z1))
+    assert np.array_equal(res.frozen["v_prev"], v_prev)
+    if name == "absorbing":
+        assert np.max(v_prev) > SolverOptions().absorption_threshold
+    if case.get("frozen"):
+        Z1 = normalize_rows(Z1 + 0.05 * rng.standard_normal(Z1.shape))
+        res = gca_rince_loss(Z1, Z2, frozen=res.frozen, **kw)
+    assert_matches_dense(res, dense_gca_rince(Z1, Z2, eps, kw["q"], kw["lam"], kw["target"], v_prev))
+
+
+@pytest.mark.parametrize("name", list(DENSE_CASES) + ["unnormalized"])
+def test_gca_uot_matches_dense_formula(rng, name):
+    case = dict(DENSE_CASES.get(name, {"column_normalize": False}))
+    Z1, Z2 = dense_case_batch(rng, case)
+    eps = case.get("epsilon", 0.5)
+    kw = {"epsilon": eps, "q": 0.98, "lam": case.get("lam", 0.01), "weight": 0.5,
+          "target": case.get("target"), "column_normalize": case.get("column_normalize", True)}
+    res = gca_uot_loss(Z1, Z2, **kw)
+    K = gibbs_kernel(cosine_cost(Z1, Z2), eps)
+    opts = UotOptions(epsilon=eps, column_normalize=False)
+    log_u, log_v, log_v_prev, _, _ = _solve_scalings(K, default_marginals(len(Z1)), opts)
+    for key, want in (("log_u", log_u), ("log_v", log_v), ("log_v_prev", log_v_prev)):
+        assert np.array_equal(res.frozen[key], want)
+    if name == "absorbing":
+        assert np.max(np.exp(log_u)) > opts.absorption_threshold
+    if case.get("frozen"):
+        Z1 = normalize_rows(Z1 + 0.05 * rng.standard_normal(Z1.shape))
+        res = gca_uot_loss(Z1, Z2, frozen=res.frozen, **kw)
+    dense = dense_gca_uot(Z1, Z2, eps, kw["q"], kw["lam"], kw["weight"], kw["target"],
+                          kw["column_normalize"], log_u, log_v, log_v_prev)
+    assert_matches_dense(res, dense)
+
+
+def test_gca_losses_need_two_samples():
+    # the identity target is undefined for a single sample
+    Z = np.eye(3)[:1]
+    for fn in (gca_ince_loss, gca_rince_loss, gca_uot_loss):
+        with pytest.raises(PlanError):
+            fn(Z, Z)
+
+
+def test_gca_uot_kernel_underflow_raises(unit_batch):
+    # at eps=1e-4 every kernel entry of these batches underflows to zero;
+    # the loss must fail with the solver's error, not return NaN
+    Z1, Z2 = unit_batch(64, 8), unit_batch(64, 8)
+    with pytest.raises(SolverError):
+        gca_uot_loss(Z1, Z2, epsilon=1e-4)
+    assert np.isfinite(gca_uot_loss(Z1, Z2, epsilon=1e-3).value)
 
 
 # ---------------------------------------------------------------- gradients
