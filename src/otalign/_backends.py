@@ -11,6 +11,9 @@ import os
 
 import numpy as np
 
+# initial half-step capacity of the scaling loop's trajectory records
+TRAJECTORY_ROWS = 64
+
 
 def _sinkhorn_core(K, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
     """Gauss-Seidel scaling loop with log-domain absorption.
@@ -28,31 +31,40 @@ def _sinkhorn_core(K, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
     ga = np.zeros(B)
     Kw = K  # replaced by an owned buffer at the first absorption
     owned = False
-    F = np.zeros((2 * max_iter, B))
-    G = np.zeros((2 * max_iter, B))
-    row_err = np.zeros(2 * max_iter)
-    col_err = np.zeros(2 * max_iter)
+    # per-half-step records, grown by doubling: tolerance mode allows far
+    # more iterations than a solve usually takes, and a buffer sized for all
+    # of them is megabytes of mostly untouched memory
+    FG = np.zeros((min(2 * max_iter, TRAJECTORY_ROWS), 2, B))
+    err = np.zeros((FG.shape[0], 2))
     nh = 0
     iters = 0
     Kv = Kw @ v
     for _ in range(max_iter):
+        if nh + 2 > FG.shape[0]:
+            cap = min(2 * FG.shape[0], 2 * max_iter)
+            FG2 = np.zeros((cap, 2, B))
+            FG2[:nh] = FG[:nh]
+            FG = FG2
+            err2 = np.zeros((cap, 2))
+            err2[:nh] = err[:nh]
+            err = err2
         u = mu / (Kv + floor)
         KTu = Kw.T @ u
         # odd half-step: rows feasible by construction
-        F[nh] = fa + eps * np.log(u)
-        G[nh] = ga + eps * np.log(v)
-        row_err[nh] = np.sum(np.abs(u * Kv - mu))
-        col_err[nh] = np.sum(np.abs(v * KTu - nu))
+        FG[nh, 0] = fa + eps * np.log(u)
+        FG[nh, 1] = ga + eps * np.log(v)
+        err[nh, 0] = np.sum(np.abs(u * Kv - mu))
+        err[nh, 1] = np.sum(np.abs(v * KTu - nu))
         nh += 1
         v = nu / (KTu + floor)
         # even half-step: columns feasible, row residual needs one matvec
         Kv = Kw @ v
         re = np.sum(np.abs(u * Kv - mu))
         ce = np.sum(np.abs(v * KTu - nu))
-        F[nh] = fa + eps * np.log(u)
-        G[nh] = ga + eps * np.log(v)
-        row_err[nh] = re
-        col_err[nh] = ce
+        FG[nh, 0] = fa + eps * np.log(u)
+        FG[nh, 1] = ga + eps * np.log(v)
+        err[nh, 0] = re
+        err[nh, 1] = ce
         nh += 1
         iters += 1
         if to_tol and re <= tol and ce <= tol:
@@ -74,7 +86,7 @@ def _sinkhorn_core(K, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
             Kv = Kw @ v
     f = fa + eps * np.log(u)
     g = ga + eps * np.log(v)
-    return f, g, F, G, row_err, col_err, nh, iters
+    return f, g, FG[:nh, 0], FG[:nh, 1], err[:nh, 0], err[:nh, 1], nh, iters
 
 
 def _uot_core(K, C, mu, nu, eps, lam1, lam2, max_iter, tau, floor):

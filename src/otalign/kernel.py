@@ -61,7 +61,9 @@ def gibbs_kernel(C, epsilon):
     if epsilon <= 0:
         raise KernelError(f"epsilon must be positive, got {epsilon}")
     C = np.asarray(C, dtype=np.float64)
-    return GibbsKernel(matrix=np.exp(-C / epsilon), epsilon=float(epsilon), cost=C)
+    # one B x B buffer; C / -eps equals -C / eps bit for bit
+    K = np.divide(C, -epsilon)
+    return GibbsKernel(matrix=np.exp(K, out=K), epsilon=float(epsilon), cost=C)
 
 
 def byol_kernel(Q, Z2):

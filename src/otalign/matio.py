@@ -6,6 +6,7 @@ two little-endian u64 dims, then row-major little-endian f64 data.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -85,22 +86,27 @@ def write_matrix_csv(matrix, path):
 
 
 def read_matrix_bin(path):
+    # the payload is read straight into the result: no copy of the file's
+    # bytes is held next to it
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise MatrixIOError(f"bad magic in {path}: {raw[:4]!r}")
-    if len(raw) < 5 or raw[4] != VERSION:
-        raise MatrixIOError("unsupported version")
-    if len(raw) < 21:
-        raise MatrixIOError("truncated header")
-    rows, cols = struct.unpack("<QQ", raw[5:21])
-    need = 21 + 8 * rows * cols
-    if len(raw) < need:
-        raise MatrixIOError(f"truncated payload: expected {need} bytes, got {len(raw)}")
-    data = np.frombuffer(raw[21:need], dtype="<f8").reshape(rows, cols)
+        head = fh.read(21)
+        if head[:4] != MAGIC:
+            raise MatrixIOError(f"bad magic in {path}: {head[:4]!r}")
+        if len(head) < 5 or head[4] != VERSION:
+            raise MatrixIOError("unsupported version")
+        if len(head) < 21:
+            raise MatrixIOError("truncated header")
+        rows, cols = struct.unpack("<QQ", head[5:21])
+        need = 21 + 8 * rows * cols
+        size = os.fstat(fh.fileno()).st_size
+        if size < need:
+            raise MatrixIOError(f"truncated payload: expected {need} bytes, got {size}")
+        data = np.empty((rows, cols), dtype="<f8")
+        if fh.readinto(data) != data.nbytes:
+            raise MatrixIOError(f"truncated payload: expected {need} bytes")
     if not np.all(np.isfinite(data)):
         raise MatrixIOError("non-finite value in binary payload")
-    return data.astype(np.float64)
+    return data.astype(np.float64, copy=False)
 
 
 def write_matrix_bin(matrix, path):

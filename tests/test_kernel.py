@@ -65,6 +65,16 @@ def test_gibbs_kernel_oracle():
     assert K.shape == (2, 2)
 
 
+def test_gibbs_kernel_is_exp_of_negated_cost_bit_for_bit(rng):
+    Z1 = normalize_rows(rng.normal(size=(40, 5)))
+    Z2 = normalize_rows(rng.normal(size=(40, 5)))
+    C = cosine_cost(Z1, Z2)
+    for eps in (0.05, 0.3, 1.0, 7.0):
+        K = gibbs_kernel(C, eps)
+        assert np.array_equal(K.matrix, np.exp(-C / eps))
+        assert K.cost is C
+
+
 def test_gibbs_kernel_rejects_bad_epsilon():
     with pytest.raises(KernelError, match="epsilon must be positive"):
         gibbs_kernel(np.zeros((2, 2)), 0.0)

@@ -154,3 +154,15 @@ def test_roundtrip_property(tmp_path_factory, rows, cols, seed):
     write_matrix_bin(m, d / "m.bin")
     assert np.array_equal(read_matrix_csv(d / "m.csv"), m)
     assert np.array_equal(read_matrix_bin(d / "m.bin"), m)
+
+
+def test_bin_payload_read_without_trailing_bytes(tmp_path):
+    m = np.arange(12.0).reshape(3, 4)
+    p = tmp_path / "m.bin"
+    write_matrix_bin(m, p)
+    p.write_bytes(p.read_bytes() + b"extra")
+    back = read_matrix_bin(p)
+    assert back.dtype == np.float64 and back.flags.writeable
+    assert np.array_equal(back, m)
+    write_matrix_bin(np.zeros((0, 3)), p)
+    assert read_matrix_bin(p).shape == (0, 3)

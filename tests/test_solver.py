@@ -213,3 +213,31 @@ def test_plan_positive_and_residuals_shrink(B, eps, seed):
     # column residual after each full sweep never grows
     ce = traj.col_err[1::2]
     assert np.all(np.diff(ce) <= 1e-12)
+
+
+def test_dual_objective_blocks_match_dense_formula(rng):
+    # B=300 takes two row blocks; the dense expectation is written out here
+    K = random_kernel(rng, B=300, epsilon=0.3)
+    f = 0.1 * rng.standard_normal(300)
+    g = 0.1 * rng.standard_normal(300)
+    m = Marginals(mu=rng.uniform(0.5, 2.0, 300), nu=rng.uniform(0.5, 2.0, 300))
+    mh = m.mu / m.mu.sum()
+    nh = m.nu / m.nu.sum()
+    dense = np.exp((f[:, None] + g[None, :] - K.cost) / K.epsilon)
+    expected = f @ mh + g @ nh - K.epsilon * (mh @ dense @ nh) + K.epsilon
+    got = dual_objective(f, g, K.cost, K.epsilon, m)
+    assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+def test_long_tolerance_solve_keeps_every_half_step(rng):
+    # more half-steps than the loop's initial trajectory capacity
+    K = random_kernel(rng, B=16, epsilon=0.05)
+    opts = SolverOptions(max_iterations=40, tolerance=1e-300, mode="tolerance")
+    _, state, traj = sinkhorn(K, opts=opts)
+    _, _, short = sinkhorn(K, opts=SolverOptions(max_iterations=20))
+    assert state.iterations == 40 and traj.n_half == 80
+    assert np.array_equal(traj.f[:40], short.f) and np.array_equal(traj.g[:40], short.g)
+    assert np.array_equal(traj.row_err[:40], short.row_err)
+    assert np.array_equal(traj.col_err[:40], short.col_err)
+    assert np.allclose(traj.f[-1], state.f, atol=1e-12)
+    assert np.allclose(traj.g[-1], state.g, atol=1e-12)
