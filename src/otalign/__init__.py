@@ -41,6 +41,7 @@ from .solver import (
     TransportPlan,
     default_marginals,
     dual_objective,
+    dual_objectives,
     hilbert_metric,
     marginal_error,
     project_cols,

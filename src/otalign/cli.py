@@ -27,6 +27,7 @@ from .matio import (
     append_metrics_jsonl,
     read_matrix_bin,
     read_matrix_csv,
+    write_matrix_bin,
     write_matrix_csv,
 )
 from .metrics import kl_via_duals
@@ -37,6 +38,7 @@ from .solver import (
     SolverOptions,
     default_marginals,
     dual_objective,
+    dual_objectives,
     sinkhorn,
 )
 from .train import (
@@ -64,12 +66,31 @@ def _load_matrix(path):
     return read_matrix_csv(path)
 
 
+def _save_matrix(M, path):
+    """Write M in the binary format to a ``.bin`` path, as CSV otherwise."""
+    if path.endswith(".bin"):
+        write_matrix_bin(M, path)
+    else:
+        write_matrix_csv(M, path)
+
+
 def _load_vector(path, B, what):
     M = _load_matrix(path)
     v = M.reshape(-1)
     if v.size != B:
         raise UsageError(f"{what} has {v.size} entries, expected {B}")
     return v
+
+
+def _load_problem(args):
+    """The square cost of ``args.cost`` and the marginals from --mu/--nu (default ones)."""
+    C = _load_matrix(args.cost)
+    if C.shape[0] != C.shape[1]:
+        raise UsageError("cost matrix must be square")
+    B = C.shape[0]
+    mu = _load_vector(args.mu, B, "mu") if args.mu else np.ones(B)
+    nu = _load_vector(args.nu, B, "nu") if args.nu else np.ones(B)
+    return C, Marginals(mu=mu, nu=nu)
 
 
 def _apply_thread_cap():
@@ -86,34 +107,22 @@ def _apply_thread_cap():
 def cmd_solve(args):
     if args.tol is not None and args.iters is not None:
         raise UsageError("--tol and --iters are mutually exclusive")
-    C = _load_matrix(args.cost)
-    if C.shape[0] != C.shape[1]:
-        raise UsageError("cost matrix must be square")
-    B = C.shape[0]
-    marg = default_marginals(B)
-    if args.mu or args.nu:
-        mu = _load_vector(args.mu, B, "mu") if args.mu else np.ones(B)
-        nu = _load_vector(args.nu, B, "nu") if args.nu else np.ones(B)
-        marg = Marginals(mu=mu, nu=nu)
+    C, marg = _load_problem(args)
     if args.tol is not None:
         opts = SolverOptions(max_iterations=1000, tolerance=args.tol, mode="tolerance")
     else:
         opts = SolverOptions(max_iterations=args.iters or 5)
     K = gibbs_kernel(C, args.epsilon)
     plan, state, traj = sinkhorn(K, marg, opts)
-    write_matrix_csv(plan.matrix, args.out)
-    duals = [
-        dual_objective(traj.f[h], traj.g[h], C, args.epsilon, marg)
-        for h in range(traj.n_half)
-    ]
-    diag = {
-        "iterations": state.iterations,
-        "row_residual": plan.row_residual,
-        "col_residual": plan.col_residual,
-        "converged": plan.converged,
-        "dual_objective": duals,
-    }
+    _save_matrix(plan.matrix, args.out)
     if args.diagnostics:
+        diag = {
+            "iterations": state.iterations,
+            "row_residual": plan.row_residual,
+            "col_residual": plan.col_residual,
+            "converged": plan.converged,
+            "dual_objective": dual_objectives(traj.f, traj.g, K, marg).tolist(),
+        }
         with open(args.diagnostics, "w") as fh:
             json.dump(diag, fh, indent=1)
     print(json.dumps({"iterations": state.iterations,
@@ -125,15 +134,7 @@ def cmd_solve(args):
 def cmd_uot(args):
     if args.lambda1 < 0 or args.lambda2 < 0:
         raise UsageError("marginal penalties must be non-negative")
-    C = _load_matrix(args.cost)
-    if C.shape[0] != C.shape[1]:
-        raise UsageError("cost matrix must be square")
-    B = C.shape[0]
-    marg = default_marginals(B)
-    if args.mu or args.nu:
-        mu = _load_vector(args.mu, B, "mu") if args.mu else np.ones(B)
-        nu = _load_vector(args.nu, B, "nu") if args.nu else np.ones(B)
-        marg = Marginals(mu=mu, nu=nu)
+    C, marg = _load_problem(args)
     K = gibbs_kernel(C, args.epsilon)
     opts = UotOptions(
         lambda1=args.lambda1,
@@ -144,7 +145,7 @@ def cmd_uot(args):
         column_normalize=not args.no_colnorm,
     )
     plan, state = unbalanced_sinkhorn(K, marg, opts)
-    write_matrix_csv(plan.matrix, args.out)
+    _save_matrix(plan.matrix, args.out)
     print(json.dumps({"iterations": state.iterations,
                       "row_residual": plan.row_residual,
                       "col_residual": plan.col_residual}))
@@ -173,7 +174,7 @@ def cmd_loss(args):
         res = LOSS_FUNCTIONS[name](Z1, Z2, **kwargs)
     print(f"{res.value:.6f}")
     if args.plan_out and res.plan is not None:
-        write_matrix_csv(res.plan, args.plan_out)
+        _save_matrix(res.plan, args.plan_out)
     return 0
 
 
@@ -185,7 +186,7 @@ def cmd_plan(args):
     if not domains:
         raise UsageError("empty domain list")
     P = block_domain_plan(np.array(domains), args.alpha, args.beta, raw=args.raw)
-    write_matrix_csv(P, args.out)
+    _save_matrix(P, args.out)
     return 0
 
 
@@ -233,7 +234,7 @@ def cmd_train(args):
     if args.metrics:
         append_metrics_jsonl(final, args.metrics)
     if args.embeddings_out:
-        write_matrix_csv(H, args.embeddings_out)
+        _save_matrix(H, args.embeddings_out)
     print(json.dumps(final, sort_keys=True))
     return 0
 

@@ -97,8 +97,8 @@ def ince_loss(Z1, Z2, epsilon=0.5):
     )
 
 
-def _solve_plan(Z1, Z2, epsilon, n_iters):
-    K = gibbs_kernel(cosine_cost(Z1, Z2), epsilon)
+def _solve_plan(C, epsilon, n_iters):
+    K = gibbs_kernel(C, epsilon)
     return sinkhorn(K, opts=SolverOptions(max_iterations=n_iters))
 
 
@@ -121,7 +121,7 @@ def gca_ince_loss(Z1, Z2, epsilon=0.5, n_iters=5, target=None, half_step=False,
         f, g = frozen["f"], frozen["g"]
         P = np.exp((f[:, None] + g[None, :] - C) / epsilon)
     else:
-        plan, state, traj = _solve_plan(Z1, Z2, epsilon, n_iters)
+        plan, state, traj = _solve_plan(C, epsilon, n_iters)
         if half_step:
             h = 2 * n_iters - 1
             f, g = traj.f[h - 1], traj.g[h - 1]

@@ -80,8 +80,11 @@ def write_matrix_csv(matrix, path):
     if not np.all(np.isfinite(matrix)):
         raise MatrixIOError("refusing to write non-finite values")
     with open(path, "w", encoding="ascii") as fh:
+        # Python floats format faster than numpy scalars, to the same bytes;
+        # one row at a time, because a whole-matrix list of floats costs tens
+        # of megabytes of resident set on a 1024 x 1024 plan
         for row in matrix:
-            fh.write(",".join("%.17g" % x for x in row))
+            fh.write(",".join(["%.17g" % x for x in row.tolist()]))
             fh.write("\n")
 
 

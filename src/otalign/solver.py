@@ -1,5 +1,6 @@
 """Balanced entropic OT: Bregman projections, stabilized Sinkhorn, diagnostics."""
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,6 +9,7 @@ from . import _backends
 from .kernel import GibbsKernel
 
 DUAL_BLOCK_ELEMENTS = 1 << 16  # float64 entries per block in dual_objective
+DUAL_CHUNK_ROWS = 8  # half-steps per product with K in dual_objectives
 
 
 class SolverError(Exception):
@@ -25,6 +27,20 @@ def default_marginals(B):
     return Marginals(mu=np.ones(B), nu=np.ones(B))
 
 
+def check_iteration_count(n):
+    """Raise SolverError unless n is an integer (a bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise SolverError(f"iteration count must be an integer, got {n!r}")
+
+
+def check_marginals(shape, mu, nu):
+    """Raise SolverError unless mu and nu are vectors sized to the kernel's sides."""
+    if mu.shape != (shape[0],) or nu.shape != (shape[1],):
+        raise SolverError(
+            f"marginals of sizes {mu.shape} and {nu.shape} do not fit a {shape[0]}x{shape[1]} kernel"
+        )
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     max_iterations: int = 5
@@ -34,6 +50,7 @@ class SolverOptions:
     mode: str = "fixed"  # "fixed" | "tolerance"
 
     def __post_init__(self):
+        check_iteration_count(self.max_iterations)
         if self.max_iterations <= 0 or self.tolerance <= 0:
             raise SolverError("iteration count and tolerance must be positive")
         if self.absorption_threshold <= 0 or self.floor <= 0:
@@ -141,6 +158,7 @@ def sinkhorn(K: GibbsKernel, marginals=None, opts=None):
     opts = opts or SolverOptions()
     mu = np.asarray(marginals.mu, dtype=np.float64)
     nu = np.asarray(marginals.nu, dtype=np.float64)
+    check_marginals(Km.shape, mu, nu)
     Km = np.ascontiguousarray(Km)
     f, g, F, G, row_err, col_err, nh, iters = _backends.sinkhorn_core(
         Km,
@@ -226,3 +244,43 @@ def dual_objective(f, g, C, epsilon, marginals):
         blk = slice(s, s + rows)
         expected += float(mh[blk] @ _gibbs_plan(f[blk], g, C[blk], epsilon) @ nh)
     return lin - epsilon * expected + epsilon
+
+
+def dual_objectives(F, G, K: GibbsKernel, marginals):
+    """``dual_objective`` of every row pair (F[h], G[h]) through products with K.
+
+    exp((f_i + g_j - C_ij)/eps) = e^{f_i/eps} K_ij e^{g_j/eps}, so the
+    expectation is (mu^ e^{(f-c)/eps})' K (nu^ e^{(g+c)/eps}) for any shift c.
+    With c = (max f - max g)/2 neither factor overflows on potentials whose
+    plan entries are bounded, as every Sinkhorn half-step's are, once K > 0.
+    Rows go through K in chunks of DUAL_CHUNK_ROWS: no B x B temporary and
+    no B x B exp.
+    """
+    F = np.asarray(F, dtype=np.float64)
+    G = np.asarray(G, dtype=np.float64)
+    Km = K.matrix
+    eps = K.epsilon
+    mu = np.asarray(marginals.mu, dtype=np.float64)
+    nu = np.asarray(marginals.nu, dtype=np.float64)
+    if F.ndim != 2 or F.shape[1] != Km.shape[0] or G.shape != (F.shape[0], Km.shape[1]):
+        raise SolverError("dual_objectives shape mismatch")
+    check_marginals(Km.shape, mu, nu)
+    mh = mu / mu.sum()
+    nh = nu / nu.sum()
+    out = F @ mh + G @ nh + eps
+    for s in range(0, F.shape[0], DUAL_CHUNK_ROWS):
+        Fc = F[s:s + DUAL_CHUNK_ROWS]
+        Gc = G[s:s + DUAL_CHUNK_ROWS]
+        c = (Fc.max(axis=1) - Gc.max(axis=1))[:, None] / 2
+        a = Fc - c
+        a /= eps
+        np.exp(a, out=a)
+        a *= mh
+        b = Gc + c
+        b /= eps
+        np.exp(b, out=b)
+        b *= nh
+        aK = a @ Km
+        aK *= b
+        out[s:s + DUAL_CHUNK_ROWS] -= eps * aK.sum(axis=1)
+    return out

@@ -6,7 +6,14 @@ import numpy as np
 
 from . import _backends
 from .kernel import GibbsKernel
-from .solver import ScalingState, SolverError, TransportPlan, default_marginals
+from .solver import (
+    ScalingState,
+    SolverError,
+    TransportPlan,
+    check_iteration_count,
+    check_marginals,
+    default_marginals,
+)
 
 
 @dataclass(frozen=True)
@@ -20,6 +27,7 @@ class UotOptions:
     column_normalize: bool = True
 
     def __post_init__(self):
+        check_iteration_count(self.iterations)
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise SolverError("marginal penalties must be non-negative")
         if self.epsilon <= 0 or self.iterations <= 0:
@@ -66,6 +74,7 @@ def unbalanced_sinkhorn(K: GibbsKernel, marginals=None, opts=None):
         marginals = default_marginals(B)
     mu = np.asarray(marginals.mu, dtype=np.float64)
     nu = np.asarray(marginals.nu, dtype=np.float64)
+    check_marginals(K.matrix.shape, mu, nu)
     log_u, log_v, _, _, iters = _solve_scalings(K, marginals, opts)
     if not (np.all(np.isfinite(log_u)) and np.all(np.isfinite(log_v))):
         raise SolverError("overflow despite absorption in unbalanced solve")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from otalign.cli import main
-from otalign.matio import read_matrix_csv, write_matrix_csv
+from otalign.matio import read_matrix_bin, read_matrix_csv, write_matrix_csv
 
 
 @pytest.fixture
@@ -45,6 +45,60 @@ def test_solve_diagnostics_dual_trajectory(cost_file, tmp_path):
     assert len(duals) == 6
     assert all(b >= a - 1e-11 for a, b in zip(duals, duals[1:]))
     assert {"iterations", "row_residual", "col_residual", "converged"} <= set(diag)
+
+
+def test_solve_diagnostics_equal_pointwise_dual_objectives(cost_file, tmp_path):
+    from otalign.kernel import gibbs_kernel
+    from otalign.solver import Marginals, SolverOptions, dual_objective, sinkhorn
+
+    mu = tmp_path / "mu.csv"
+    mu.write_text("2\n2\n")
+    nu = tmp_path / "nu.csv"
+    nu.write_text("1\n3\n")
+    diag_path = str(tmp_path / "diag.json")
+    args = ["solve", cost_file, "--epsilon", "0.3", "--tol", "1e-9", "--mu", str(mu),
+            "--nu", str(nu), "--out", str(tmp_path / "plan.csv"), "--diagnostics", diag_path]
+    assert main(args) == 0
+    duals = json.loads(open(diag_path).read())["dual_objective"]
+    C = read_matrix_csv(cost_file)
+    m = Marginals(mu=np.array([2.0, 2.0]), nu=np.array([1.0, 3.0]))
+    opts = SolverOptions(max_iterations=1000, tolerance=1e-9, mode="tolerance")
+    _, _, traj = sinkhorn(gibbs_kernel(C, 0.3), m, opts)
+    want = [dual_objective(traj.f[h], traj.g[h], C, 0.3, m) for h in range(traj.n_half)]
+    assert len(duals) == len(want) > 2
+    assert np.allclose(duals, want, rtol=1e-12, atol=0.0)
+
+
+def test_solve_without_diagnostics_computes_no_duals(cost_file, tmp_path, monkeypatch):
+    import otalign.cli
+
+    def unexpected(*args):
+        raise AssertionError("dual objectives computed without --diagnostics")
+
+    monkeypatch.setattr(otalign.cli, "dual_objectives", unexpected)
+    assert main(["solve", cost_file, "--out", str(tmp_path / "plan.csv")]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "{cost}", "--tol", "1e-9", "--out", "{out}"],
+    ["uot", "{cost}", "--out", "{out}"],
+    ["loss", "--loss", "gca-ince", "{z1}", "{z2}", "--plan-out", "{out}"],
+    ["plan", "--domains", "0,0,1,2", "--alpha", "0.5", "--out", "{out}"],
+    ["train", "--loss", "ince", "--epochs", "1", "--batch", "32", "--classes", "3",
+     "--dim", "8", "--n-per-cell", "20", "--embeddings-out", "{out}"],
+])
+def test_bin_outputs_round_trip(command, cost_file, embedding_files, tmp_path, capsys):
+    # a matrix written to a .bin path uses the binary format and reads back
+    # equal to the same command's CSV output
+    z1, z2 = embedding_files
+    read = {}
+    for ext, reader in (("csv", read_matrix_csv), ("bin", read_matrix_bin)):
+        out = str(tmp_path / f"out.{ext}")
+        argv = [a.format(cost=cost_file, z1=z1, z2=z2, out=out) for a in command]
+        assert main(argv) == 0
+        read[ext] = reader(out)
+    assert read["bin"].shape == read["csv"].shape
+    assert np.array_equal(read["bin"], read["csv"])
 
 
 def test_solve_tolerance_mode(cost_file, tmp_path, capsys):

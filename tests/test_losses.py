@@ -188,6 +188,29 @@ def test_gca_ince_custom_target(rng):
     assert res.grad_z1.shape == Z1.shape
 
 
+def test_gca_ince_builds_its_cost_once(rng, monkeypatch):
+    import otalign.losses
+
+    Z1, Z2 = pair(rng)
+    want = gca_ince_loss(Z1, Z2, epsilon=0.5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cosine_cost(*args)
+
+    monkeypatch.setattr(otalign.losses, "cosine_cost", counted)
+    got = gca_ince_loss(Z1, Z2, epsilon=0.5)
+    assert len(calls) == 1
+    # the kernel is built from the loss's own cost: the same numbers
+    K = gibbs_kernel(cosine_cost(Z1, Z2), 0.5)
+    plan, _, _ = sinkhorn(K, opts=SolverOptions(max_iterations=5))
+    assert np.array_equal(got.plan, plan.matrix)
+    assert got.value == want.value
+    assert np.array_equal(got.grad_z1, want.grad_z1)
+    assert np.array_equal(got.grad_z2, want.grad_z2)
+
+
 # ----------------------------------------- dense reference formulas
 #
 # gca-rince and gca-uot compute their value and gradients through K and

@@ -65,6 +65,25 @@ def test_csv_write_rejects_bad_input(tmp_path):
         write_matrix_csv(np.array([[1.0, np.inf]]), p)
 
 
+def _old_csv_bytes(matrix):
+    # the per-element formatter over numpy scalars that write_matrix_csv
+    # used before it formatted Python floats
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in matrix).encode("ascii")
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[-1.5, 0.0, -0.0, 2.0], [1e-300, -1e-300, 1e17, -1e17],
+              [3.0, 12345678901234567.0, 5e-324, 1.7976931348623157e308]]),
+    np.array([[0.1, -0.25, 1.0 / 3.0, 7.0, 2.0 ** 52 + 1.0]]),  # a 1 x N row
+    np.arange(-6.0, 6.0).reshape(4, 3),  # exact integers
+    np.random.default_rng(3).standard_normal((9, 17)) * 10.0 ** np.arange(-8, 9),
+])
+def test_csv_bytes_match_per_element_formatter(tmp_path, matrix):
+    p = tmp_path / "m.csv"
+    write_matrix_csv(matrix, p)
+    assert p.read_bytes() == _old_csv_bytes(matrix)
+
+
 def test_csv_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(0)
     m = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-8, 8, (7, 3))

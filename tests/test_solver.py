@@ -10,6 +10,7 @@ from otalign.solver import (
     SolverOptions,
     default_marginals,
     dual_objective,
+    dual_objectives,
     hilbert_metric,
     marginal_error,
     project_cols,
@@ -38,6 +39,10 @@ def test_default_marginals():
 def test_options_validation():
     with pytest.raises(SolverError):
         SolverOptions(max_iterations=0)
+    with pytest.raises(SolverError, match="integer"):
+        SolverOptions(max_iterations=2.5)
+    with pytest.raises(SolverError, match="integer"):
+        SolverOptions(max_iterations=True)
     with pytest.raises(SolverError):
         SolverOptions(tolerance=-1.0)
     with pytest.raises(SolverError, match="unknown mode"):
@@ -241,3 +246,57 @@ def test_long_tolerance_solve_keeps_every_half_step(rng):
     assert np.array_equal(traj.col_err[:40], short.col_err)
     assert np.allclose(traj.f[-1], state.f, atol=1e-12)
     assert np.allclose(traj.g[-1], state.g, atol=1e-12)
+
+
+@pytest.mark.parametrize("mu_size, nu_size", [(7, 8), (8, 9), (1, 8)])
+def test_sinkhorn_rejects_marginals_of_the_wrong_size(rng, mu_size, nu_size):
+    K = random_kernel(rng, B=8)
+    m = Marginals(mu=np.ones(mu_size), nu=np.ones(nu_size))
+    with pytest.raises(SolverError, match="do not fit"):
+        sinkhorn(K, m)
+
+
+def _dual_case(rng, case):
+    """(kernel, marginals, options) of one solve whose duals are compared."""
+    if case == "absorbing-b1024":
+        Z1 = normalize_rows(rng.standard_normal((1024, 32)))
+        Z2 = normalize_rows(rng.standard_normal((1024, 32)))
+        K = gibbs_kernel(cosine_cost(Z1, Z2), 0.05)
+        return K, default_marginals(1024), SolverOptions(
+            max_iterations=1000, tolerance=1e-6, mode="tolerance")
+    if case == "nonuniform":
+        K = random_kernel(rng, B=64, epsilon=0.1)
+        mu = rng.uniform(0.2, 3.0, 64)
+        nu = rng.uniform(0.2, 3.0, 64)
+        return K, Marginals(mu=mu, nu=nu * mu.sum() / nu.sum()), SolverOptions(max_iterations=20)
+    if case == "one-iteration":
+        return random_kernel(rng, B=16), default_marginals(16), SolverOptions(max_iterations=1)
+    # the CLI tests' 2 x 2 cost file at the CLI's default epsilon and iterations
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return gibbs_kernel(C, 0.5), default_marginals(2), SolverOptions()
+
+
+@pytest.mark.parametrize("case", ["absorbing-b1024", "nonuniform", "one-iteration", "2x2"])
+def test_dual_objectives_match_pointwise(rng, case):
+    K, m, opts = _dual_case(rng, case)
+    _, _, traj = sinkhorn(K, m, opts)
+    if case == "absorbing-b1024":
+        # before the first absorption the total potentials are eps*log of the
+        # scalings, so an even half-step above eps*log(threshold) ahead of the
+        # final iteration means that absorption fired there
+        top = np.maximum(traj.f[1:-2:2], traj.g[1:-2:2]).max()
+        assert top > K.epsilon * np.log(opts.absorption_threshold)
+    ref = np.array([dual_objective(traj.f[h], traj.g[h], K.cost, K.epsilon, m)
+                    for h in range(traj.n_half)])
+    got = dual_objectives(traj.f, traj.g, K, m)
+    assert got.shape == (traj.n_half,)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_dual_objectives_rejects_mismatched_shapes(rng):
+    K = random_kernel(rng, B=8)
+    F = np.zeros((4, 8))
+    with pytest.raises(SolverError, match="shape mismatch"):
+        dual_objectives(F, np.zeros((3, 8)), K, default_marginals(8))
+    with pytest.raises(SolverError, match="do not fit"):
+        dual_objectives(F, F, K, default_marginals(7))

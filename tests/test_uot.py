@@ -19,6 +19,18 @@ def test_options_validation():
         UotOptions(epsilon=0.0)
     with pytest.raises(SolverError):
         UotOptions(iterations=0)
+    with pytest.raises(SolverError, match="integer"):
+        UotOptions(iterations=2.5)
+    with pytest.raises(SolverError, match="integer"):
+        UotOptions(iterations=5.0)
+
+
+@pytest.mark.parametrize("mu_size, nu_size", [(7, 8), (8, 9), (1, 8)])
+def test_rejects_marginals_of_the_wrong_size(rng, mu_size, nu_size):
+    K = random_kernel(rng, B=8)
+    m = Marginals(mu=np.ones(mu_size), nu=np.ones(nu_size))
+    with pytest.raises(SolverError, match="do not fit"):
+        unbalanced_sinkhorn(K, m)
 
 
 def test_epsilon_must_match_kernel(rng):
