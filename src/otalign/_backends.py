@@ -111,11 +111,15 @@ def _uot_core(K, C, mu, nu, eps, lam1, lam2, max_iter, tau, floor):
     col = np.zeros(B)
     for _ in range(max_iter):
         log_v_prev = ga / eps + np.log(v)
-        df = np.exp(-fa / (eps + lam1))
-        u = df * (mu / (Kw @ v + floor)) ** fi1
-        dg = np.exp(-ga / (eps + lam2))
+        u = (mu / (Kw @ v + floor)) ** fi1
+        # the damping factors exp(-fa/(eps+lam)) are exactly one until the
+        # first absorption, so their vector passes are skipped until then
+        if owned:
+            u *= np.exp(-fa / (eps + lam1))
         KTu = Kw.T @ u
-        v = dg * (nu / (KTu + floor)) ** fi2
+        v = (nu / (KTu + floor)) ** fi2
+        if owned:
+            v *= np.exp(-ga / (eps + lam2))
         col = v * KTu
         if np.max(u) > tau or np.max(v) > tau:
             fa = fa + eps * np.log(u)

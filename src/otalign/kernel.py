@@ -46,7 +46,10 @@ def _check_pair(Z1, Z2):
 def cosine_cost(Z1, Z2):
     """C_ij = 1 - <z1_i, z2_j> for unit-norm rows, clamped to [0, 2]."""
     Z1, Z2 = _check_pair(Z1, Z2)
-    return np.clip(1.0 - Z1 @ Z2.T, 0.0, 2.0)
+    # one B x B buffer: the same numbers as np.clip(1 - Z1 @ Z2.T, 0, 2)
+    C = Z1 @ Z2.T
+    np.subtract(1.0, C, out=C)
+    return np.clip(C, 0.0, 2.0, out=C)
 
 
 def sqeuclidean_cost(Z1, Z2):

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _backends
 from .kernel import cosine_cost, gibbs_kernel
-from .plans import check_batch_size, identity_plan
-from .solver import SolverError, SolverOptions, check_kernel, default_marginals, sinkhorn
+from .plans import check_batch_size
+from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel, default_marginals
 from .uot import UotOptions, _solve_scalings
 
 
@@ -51,6 +51,24 @@ def _check_batch(Z1, Z2):
     if Z1.ndim != 2 or Z1.shape != Z2.shape:
         raise LossError(f"embedding shapes differ: {Z1.shape} vs {Z2.shape}")
     return Z1, Z2
+
+
+def _check_target(target, B):
+    T = np.asarray(target, dtype=np.float64)
+    if T.shape != (B, B):
+        raise LossError(f"target of shape {T.shape} does not fit a batch of {B}")
+    if np.any(T < 0):
+        raise LossError("target must be non-negative")
+    return T
+
+
+def _check_finite(value, grad_z1, grad_z2):
+    """Raise LossError unless the value and both gradients are finite."""
+    if not (np.isfinite(value) and np.all(np.isfinite(grad_z1)) and np.all(np.isfinite(grad_z2))):
+        raise LossError(
+            "non-finite loss or gradient: check the embeddings for NaN or inf, "
+            "or raise epsilon"
+        )
 
 
 def _check_rince(q, lam):
@@ -89,17 +107,10 @@ def ince_loss(Z1, Z2, epsilon=0.5):
     lse = np.log(sums) + m
     value = float(np.sum(lse - np.diagonal(s)))
     P /= sums[:, None]  # softmax rows: exp(s - lse)
-    return LossResult(
-        value=value,
-        grad_z1=(P @ Z2 - Z2) / epsilon,
-        grad_z2=(P.T @ Z1 - Z1) / epsilon,
-        make_plan=lambda: P,
-    )
-
-
-def _solve_plan(C, epsilon, n_iters):
-    K = gibbs_kernel(C, epsilon)
-    return sinkhorn(K, opts=SolverOptions(max_iterations=n_iters))
+    grad_z1 = (P @ Z2 - Z2) / epsilon
+    grad_z2 = (P.T @ Z1 - Z1) / epsilon
+    _check_finite(value, grad_z1, grad_z2)
+    return LossResult(value=value, grad_z1=grad_z1, grad_z2=grad_z2, make_plan=lambda: P)
 
 
 def gca_ince_loss(Z1, Z2, epsilon=0.5, n_iters=5, target=None, half_step=False,
@@ -112,30 +123,59 @@ def gca_ince_loss(Z1, Z2, epsilon=0.5, n_iters=5, target=None, half_step=False,
     ince_loss.  ``frozen`` reuses previously computed dual potentials
     instead of solving, making the loss a plain function of the
     embeddings.
+
+    The plan P = diag(u) K diag(v) is never formed: its products with the
+    embeddings go through K, and the KL comes from the dual potentials,
+    log P_ij = (f_i + g_j - C_ij) / eps.  ``plan`` on the result rebuilds
+    it on first read.
     """
     Z1, Z2 = _check_batch(Z1, Z2)
     B = Z1.shape[0]
-    tgt = identity_plan(B) if target is None else np.asarray(target, dtype=np.float64)
+    if target is None:
+        check_batch_size(B)
+    else:
+        T = _check_target(target, B)
     C = cosine_cost(Z1, Z2)
+    Km = gibbs_kernel(C, epsilon).matrix
     if frozen is not None:
         f, g = frozen["f"], frozen["g"]
-        P = np.exp((f[:, None] + g[None, :] - C) / epsilon)
     else:
-        plan, state, traj = _solve_plan(C, epsilon, n_iters)
+        check_kernel(Km)
+        opts = SolverOptions(max_iterations=n_iters)
+        f, g, F, G, _, _, _, iters = _backends.sinkhorn_core(
+            Km, C, np.ones(B), np.ones(B), epsilon, opts.max_iterations,
+            opts.tolerance, False, opts.absorption_threshold, opts.floor,
+        )
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+            raise SolverError(f"overflow despite absorption at iteration {iters}")
         if half_step:
-            h = 2 * n_iters - 1
-            f, g = traj.f[h - 1], traj.g[h - 1]
-            P = traj.plan_at(h)
-        else:
-            f, g = state.f, state.g
-            P = plan.matrix
-    value = kl_plan_divergence(tgt, P)
-    dLdC = (tgt - P) / epsilon
+            # the core's record of half-step 2n-1, the final row update
+            f, g = F[2 * n_iters - 2].copy(), G[2 * n_iters - 2].copy()
+    # P = diag(u) K diag(v) with u = e^{(f-c)/eps}, v = e^{(g+c)/eps}; the
+    # gauge shift c keeps both factors in range, as in dual_objectives
+    c = (np.max(f) - np.max(g)) / 2
+    u = np.exp((f - c) / epsilon)
+    v = np.exp((g + c) / epsilon)
+    # KL(T || P) = sum t log t - sum t log P - sum T + sum P
+    if target is None:
+        t_log_t = 0.0
+        t_log_p = float(np.sum(f + g) - np.trace(C)) / epsilon
+        t_mass = float(B)
+        TZ2, TtZ1 = Z2, Z1
+    else:
+        t_log_t = float(np.sum(T * np.log(np.where(T > 0, T, 1.0))))
+        t_log_p = float(T.sum(axis=1) @ f + T.sum(axis=0) @ g - np.vdot(T, C)) / epsilon
+        t_mass = float(T.sum())
+        TZ2, TtZ1 = T @ Z2, T.T @ Z1
+    value = t_log_t - t_log_p - t_mass + float(u @ (Km @ v))
+    grad_z1 = (u[:, None] * (Km @ (v[:, None] * Z2)) - TZ2) / epsilon
+    grad_z2 = (v[:, None] * (Km.T @ (u[:, None] * Z1)) - TtZ1) / epsilon
+    _check_finite(value, grad_z1, grad_z2)
     return LossResult(
         value=value,
-        grad_z1=-dLdC @ Z2,
-        grad_z2=-dLdC.T @ Z1,
-        make_plan=lambda: P,
+        grad_z1=grad_z1,
+        grad_z2=grad_z2,
+        make_plan=lambda: _gibbs_plan(f, g, cosine_cost(Z1, Z2), epsilon),
         frozen={"f": f, "g": g},
     )
 
@@ -159,11 +199,10 @@ def rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):
         c = np.zeros_like(s)
     c[np.diag_indices_from(c)] -= pos
     value = float(np.sum(neg - pos) / q)
-    return LossResult(
-        value=value,
-        grad_z1=c @ Z2 / epsilon,
-        grad_z2=c.T @ Z1 / epsilon,
-    )
+    grad_z1 = c @ Z2 / epsilon
+    grad_z2 = c.T @ Z1 / epsilon
+    _check_finite(value, grad_z1, grad_z2)
+    return LossResult(value=value, grad_z1=grad_z1, grad_z2=grad_z2)
 
 
 def rince_proximal_form(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):

@@ -41,6 +41,13 @@ def check_marginals(shape, mu, nu):
         )
 
 
+def check_square(shape):
+    """Raise SolverError unless the kernel is square: the scaling loops
+    keep one vector length for both sides."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise SolverError(f"the scaling loops need a square kernel, got shape {shape}")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     max_iterations: int = 5
@@ -152,6 +159,7 @@ def sinkhorn(K: GibbsKernel, marginals=None, opts=None):
         raise SolverError("sinkhorn expects a GibbsKernel")
     Km = K.matrix
     check_kernel(Km)
+    check_square(Km.shape)
     B = Km.shape[0]
     if marginals is None:
         marginals = default_marginals(B)

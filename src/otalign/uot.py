@@ -12,6 +12,7 @@ from .solver import (
     TransportPlan,
     check_iteration_count,
     check_marginals,
+    check_square,
     default_marginals,
 )
 
@@ -69,6 +70,7 @@ def unbalanced_sinkhorn(K: GibbsKernel, marginals=None, opts=None):
     opts = opts or UotOptions(epsilon=K.epsilon)
     if abs(opts.epsilon - K.epsilon) > 1e-12 * max(1.0, K.epsilon):
         raise SolverError("options epsilon must match the kernel epsilon")
+    check_square(K.matrix.shape)
     B = K.matrix.shape[0]
     if marginals is None:
         marginals = default_marginals(B)

@@ -65,6 +65,19 @@ def test_gibbs_kernel_oracle():
     assert K.shape == (2, 2)
 
 
+@pytest.mark.parametrize("B", [64, 300, 1024])
+def test_cosine_cost_is_the_clipped_formula_bit_for_bit(rng, B):
+    # the cost is built in one buffer; the numbers must not change
+    Z1 = normalize_rows(rng.normal(size=(B, 16)))
+    Z2 = normalize_rows(rng.normal(size=(B, 16)))
+    C = cosine_cost(Z1, Z2)
+    assert C.tobytes() == np.clip(1 - Z1 @ Z2.T, 0, 2).tobytes()
+    # clamping: identical rows give 1 - <z, z>, which may round below zero
+    C = cosine_cost(Z1, Z1)
+    assert C.tobytes() == np.clip(1 - Z1 @ Z1.T, 0, 2).tobytes()
+    assert C.min() >= 0.0 and C.max() <= 2.0
+
+
 def test_gibbs_kernel_is_exp_of_negated_cost_bit_for_bit(rng):
     Z1 = normalize_rows(rng.normal(size=(40, 5)))
     Z2 = normalize_rows(rng.normal(size=(40, 5)))

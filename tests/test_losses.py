@@ -323,6 +323,118 @@ def test_gca_uot_matches_dense_formula(rng, name):
     assert_matches_dense(res, dense)
 
 
+def dense_gca_ince(Z1, Z2, eps, target, n_iters=5, half_step=False, frozen=None):
+    """The plan, KL and d(loss)/dC of gca-ince as dense B x B matrices."""
+    tgt = np.eye(len(Z1)) if target is None else target
+    C = cosine_cost(Z1, Z2)
+    if frozen is not None:
+        P = np.exp((frozen["f"][:, None] + frozen["g"][None, :] - C) / eps)
+    else:
+        plan, _, traj = sinkhorn(gibbs_kernel(C, eps), opts=SolverOptions(max_iterations=n_iters))
+        P = traj.plan_at(2 * n_iters - 1) if half_step else plan.matrix
+    dLdC = (tgt - P) / eps
+    return kl_plan_divergence(tgt, P), -dLdC @ Z2, -dLdC.T @ Z1
+
+
+GCA_INCE_CASES = {
+    "identity": {},
+    "block-beta0": {"target": block_domain_plan([0, 0, 0, 1, 1, 2, 2, 2], 0.5, 0.0)},
+    "block-beta": {"target": block_domain_plan([0, 0, 0, 1, 1, 2, 2, 2], 0.5, 0.2)},
+    "half-step-1": {"half_step": True, "n_iters": 1},
+    "half-step-5": {"half_step": True, "n_iters": 5},
+    "half-step-block": {"half_step": True, "n_iters": 3,
+                        "target": block_domain_plan([0, 1, 0, 1, 0, 1, 0, 1], 0.5, 0.2)},
+    "frozen": {"frozen": True},
+    "frozen-block-half-step": {"frozen": True, "half_step": True, "n_iters": 2,
+                               "target": block_domain_plan([0, 0, 0, 1, 1, 2, 2, 2], 0.5, 0.2)},
+    "absorbing": {"epsilon": 0.05, "B": 1024, "d": 32, "independent": True},
+}
+
+
+@pytest.mark.parametrize("name", list(GCA_INCE_CASES))
+def test_gca_ince_matches_dense_formula(rng, name):
+    case = GCA_INCE_CASES[name]
+    Z1, Z2 = pair(rng, B=case.get("B", 8), d=case.get("d", 6))
+    if not case.get("independent"):
+        Z2 = normalize_rows(Z1 + 0.3 * rng.standard_normal(Z1.shape))
+    eps = case.get("epsilon", 0.5)
+    kw = {"epsilon": eps, "n_iters": case.get("n_iters", 5),
+          "half_step": case.get("half_step", False), "target": case.get("target")}
+    res = gca_ince_loss(Z1, Z2, **kw)
+    dense = dense_gca_ince(Z1, Z2, eps, kw["target"], kw["n_iters"], kw["half_step"])
+    assert_matches_dense(res, dense)
+    if name == "absorbing":
+        # until the first absorption the recorded potentials are eps * log of
+        # the live scalings, and the loop absorbs at the end of any iteration
+        # whose scalings exceed the threshold
+        _, _, traj = sinkhorn(gibbs_kernel(cosine_cost(Z1, Z2), eps))
+        top = max(np.max(traj.f[1::2]), np.max(traj.g[1::2])) / eps
+        assert top > np.log(SolverOptions().absorption_threshold)
+    if case.get("frozen"):
+        Z1 = normalize_rows(Z1 + 0.05 * rng.standard_normal(Z1.shape))
+        frozen = res.frozen
+        res = gca_ince_loss(Z1, Z2, frozen=frozen, **kw)
+        assert_matches_dense(res, dense_gca_ince(Z1, Z2, eps, kw["target"], frozen=frozen))
+        assert loss_grad_check("gca-ince", Z1, Z2, config=kw) < 1e-5
+
+
+@pytest.mark.parametrize("half_step", [False, True])
+def test_gca_ince_lazy_plan_is_the_solver_plan(rng, half_step):
+    Z1, Z2 = pair(rng, B=32, d=6)
+    for n in (1, 4):
+        res = gca_ince_loss(Z1, Z2, epsilon=0.3, n_iters=n, half_step=half_step)
+        plan, _, traj = sinkhorn(gibbs_kernel(cosine_cost(Z1, Z2), 0.3),
+                                 opts=SolverOptions(max_iterations=n))
+        want = traj.plan_at(2 * n - 1) if half_step else plan.matrix
+        assert np.allclose(res.plan, want, rtol=1e-12, atol=0.0)
+
+
+def test_gca_ince_forms_no_dense_plan(rng, monkeypatch):
+    import otalign.losses
+    import otalign.plans
+    import otalign.solver
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gca_ince_loss formed a dense plan")
+
+    for module, name in ((otalign.losses, "sinkhorn"), (otalign.solver, "sinkhorn"),
+                         (otalign.losses, "identity_plan"), (otalign.plans, "identity_plan"),
+                         (otalign.losses, "kl_plan_divergence"),
+                         (otalign.losses, "_gibbs_plan"), (otalign.solver, "_gibbs_plan")):
+        monkeypatch.setattr(module, name, forbidden, raising=False)
+    Z1, Z2 = pair(rng)
+    tgt = block_domain_plan([0, 0, 1, 1, 2, 2, 3, 3], 0.5, 0.2)
+    for kw in ({}, {"half_step": True}, {"target": tgt}):
+        res = gca_ince_loss(Z1, Z2, epsilon=0.5, **kw)
+        gca_ince_loss(Z1, Z2, epsilon=0.5, frozen=res.frozen, **kw)
+
+
+def test_gca_ince_rejects_a_target_that_does_not_fit(rng):
+    Z1, Z2 = pair(rng)
+    with pytest.raises(LossError, match="does not fit"):
+        gca_ince_loss(Z1, Z2, target=np.eye(7))
+    bad = np.eye(8)
+    bad[0, 1] = -0.5
+    with pytest.raises(LossError, match="non-negative"):
+        gca_ince_loss(Z1, Z2, target=bad)
+
+
+@pytest.mark.parametrize("fn", [ince_loss, rince_loss])
+def test_nan_embedding_raises_instead_of_returning_nan(rng, fn):
+    Z1, Z2 = pair(rng)
+    Z2[0, 0] = np.nan
+    with pytest.raises(LossError, match="non-finite"):
+        fn(Z1, Z2)
+
+
+def test_rince_overflow_at_small_epsilon_raises(unit_batch):
+    # e^{q s_ii} with s_ii = 1/eps = 1000 overflows to inf
+    Z1, Z2 = unit_batch(64, 8), unit_batch(64, 8)
+    with pytest.raises(LossError, match="non-finite"):
+        rince_loss(Z1, Z2, epsilon=1e-3)
+    assert np.isfinite(rince_loss(Z1, Z2, epsilon=1e-2).value)
+
+
 def test_gca_losses_need_two_samples():
     # the identity target is undefined for a single sample
     Z = np.eye(3)[:1]

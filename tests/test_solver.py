@@ -256,6 +256,15 @@ def test_sinkhorn_rejects_marginals_of_the_wrong_size(rng, mu_size, nu_size):
         sinkhorn(K, m)
 
 
+def test_sinkhorn_rejects_a_rectangular_kernel(rng):
+    # marginals that fit both sides must not reach the core, whose vectors
+    # have one length for both sides
+    K = kernel_from(rng.uniform(0.1, 1.0, size=(5, 7)))
+    m = Marginals(mu=np.ones(5), nu=np.ones(7))
+    with pytest.raises(SolverError, match="square kernel"):
+        sinkhorn(K, m)
+
+
 def _dual_case(rng, case):
     """(kernel, marginals, options) of one solve whose duals are compared."""
     if case == "absorbing-b1024":

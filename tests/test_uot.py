@@ -33,6 +33,14 @@ def test_rejects_marginals_of_the_wrong_size(rng, mu_size, nu_size):
         unbalanced_sinkhorn(K, m)
 
 
+def test_rejects_a_rectangular_kernel(rng):
+    C = rng.uniform(0.0, 2.0, size=(5, 7))
+    K = gibbs_kernel(C, 0.5)
+    m = Marginals(mu=np.ones(5), nu=np.ones(7))
+    with pytest.raises(SolverError, match="square kernel"):
+        unbalanced_sinkhorn(K, m)
+
+
 def test_epsilon_must_match_kernel(rng):
     K = random_kernel(rng, epsilon=0.5)
     with pytest.raises(SolverError, match="epsilon must match"):
