@@ -1,11 +1,11 @@
 """Optimal-transport contrastive alignment toolkit."""
 
-from ._backends import BACKEND
 from .kernel import (
     GibbsKernel,
     KernelError,
     byol_kernel,
     cosine_cost,
+    cosine_kernel,
     gibbs_kernel,
     normalize_rows,
     sqeuclidean_cost,

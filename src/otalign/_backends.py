@@ -1,13 +1,13 @@
-"""Hot scaling loops, compiled with numba when available.
+"""The two hot scaling loops, in plain numpy.
 
-The same source is used for both paths: ``_sinkhorn_core`` / ``_uot_core``
-are plain-numpy functions, and when numba is importable (and the
-``OTALIGN_NUMPY`` environment flag is not set) the module exports
-``@njit``-compiled versions of them.  ``benchmarks/backend_bench.py`` times
-the two paths against each other.
+Both take the cost either as an array or as a zero-argument function that
+builds it.  A loop reads the cost only at its first absorption, which
+rebuilds the kernel from the absorbed potentials, so a caller that holds
+only the kernel passes such a function and pays for the cost only when the
+scalings grow past the absorption threshold.  Callers reach the loops as
+module attributes (``_backends.sinkhorn_core``), so that a wrapper put in
+their place sees every call.
 """
-
-import os
 
 import numpy as np
 
@@ -15,7 +15,7 @@ import numpy as np
 TRAJECTORY_ROWS = 64
 
 
-def _sinkhorn_core(K, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
+def sinkhorn_core(K, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
     """Gauss-Seidel scaling loop with log-domain absorption.
 
     Two matvecs per iteration: ``Kw.T @ u`` serves the column update and
@@ -23,6 +23,7 @@ def _sinkhorn_core(K, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
     residual and the next iteration's row update.  Returns total dual
     potentials (f, g), per-half-step potential and residual trajectories,
     the number of half-steps taken, and the number of full iterations run.
+    ``C`` is the cost or a function that builds it, called at most once.
     """
     B = K.shape[0]
     u = np.ones(B)
@@ -75,6 +76,8 @@ def _sinkhorn_core(K, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
             if not owned:
                 Kw = np.empty_like(K)
                 owned = True
+                if callable(C):
+                    C = C()
             # one buffer serves every absorption: fresh B x B arrays per
             # absorption raise the peak resident set of long solves
             np.add(fa.reshape(B, 1), ga.reshape(1, B), Kw)
@@ -89,14 +92,15 @@ def _sinkhorn_core(K, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
     return f, g, FG[:nh, 0], FG[:nh, 1], err[:nh, 0], err[:nh, 1], nh, iters
 
 
-def _uot_core(K, C, mu, nu, eps, lam1, lam2, max_iter, tau, floor):
+def uot_core(K, C, mu, nu, eps, lam1, lam2, max_iter, tau, floor):
     """Exponent-damped scaling loop for KL-relaxed marginals.
 
     Returns total log scalings (log u, log v), the total log v from the
     start of the final iteration, the column sums of the final plan
     diag(u) K diag(v) (taken from the last ``Kw.T @ u``, which absorption
     leaves valid because it does not change the plan), and the iteration
-    count.
+    count.  ``C`` is the cost or a function that builds it, called at most
+    once.
     """
     B = K.shape[0]
     fi1 = lam1 / (lam1 + eps)
@@ -127,6 +131,8 @@ def _uot_core(K, C, mu, nu, eps, lam1, lam2, max_iter, tau, floor):
             if not owned:
                 Kw = np.empty_like(K)
                 owned = True
+                if callable(C):
+                    C = C()
             np.add(fa.reshape(B, 1), ga.reshape(1, B), Kw)
             Kw -= C
             Kw /= eps
@@ -137,24 +143,3 @@ def _uot_core(K, C, mu, nu, eps, lam1, lam2, max_iter, tau, floor):
     log_v = ga / eps + np.log(v)
     return log_u, log_v, log_v_prev, col, max_iter
 
-
-numpy_backend = {"sinkhorn_core": _sinkhorn_core, "uot_core": _uot_core}
-
-numba_backend = None
-if os.environ.get("OTALIGN_NUMPY", "") != "1":
-    try:
-        from numba import njit
-
-        numba_backend = {
-            "sinkhorn_core": njit(cache=True)(_sinkhorn_core),
-            "uot_core": njit(cache=True)(_uot_core),
-        }
-    except ImportError:  # pragma: no cover
-        numba_backend = None
-
-_active = numba_backend if numba_backend is not None else numpy_backend
-
-sinkhorn_core = _active["sinkhorn_core"]
-uot_core = _active["uot_core"]
-
-BACKEND = "numba" if _active is numba_backend else "numpy"

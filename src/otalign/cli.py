@@ -10,7 +10,6 @@ import sys
 
 import numpy as np
 
-from . import _backends
 from .kernel import KernelError, cosine_cost, gibbs_kernel, normalize_rows
 from .losses import (
     LOSS_FUNCTIONS,
@@ -91,17 +90,6 @@ def _load_problem(args):
     mu = _load_vector(args.mu, B, "mu") if args.mu else np.ones(B)
     nu = _load_vector(args.nu, B, "nu") if args.nu else np.ones(B)
     return C, Marginals(mu=mu, nu=nu)
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("GCA_THREADS")
-    if cap and _backends.BACKEND == "numba":
-        try:
-            import numba
-
-            numba.set_num_threads(max(1, int(cap)))
-        except (ImportError, ValueError):
-            pass
 
 
 def cmd_solve(args):
@@ -414,7 +402,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

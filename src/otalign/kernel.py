@@ -69,6 +69,21 @@ def gibbs_kernel(C, epsilon):
     return GibbsKernel(matrix=np.exp(K, out=K), epsilon=float(epsilon), cost=C)
 
 
+def cosine_kernel(Z1, Z2, epsilon):
+    """The Gibbs kernel of the cosine cost, and the cost's diagonal.
+
+    Returns (K, diag C) with K bit for bit
+    ``gibbs_kernel(cosine_cost(Z1, Z2), epsilon).matrix``, built in one
+    B x B buffer: the cost itself is never kept.
+    """
+    if epsilon <= 0:
+        raise KernelError(f"epsilon must be positive, got {epsilon}")
+    K = cosine_cost(Z1, Z2)
+    diag = np.diagonal(K).copy()
+    np.divide(K, -epsilon, out=K)
+    return np.exp(K, out=K), diag
+
+
 def byol_kernel(Q, Z2):
     """S_ij = exp(-||q_i - z2_j||), plain (unsquared) norm in the exponent."""
     Q, Z2 = _check_pair(Q, Z2)

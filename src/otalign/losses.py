@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import _backends
-from .kernel import cosine_cost, gibbs_kernel
+from .kernel import cosine_cost, cosine_kernel, gibbs_kernel
 from .plans import check_batch_size
 from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel, default_marginals
 from .uot import UotOptions, _solve_scalings
@@ -100,12 +100,16 @@ def ince_loss(Z1, Z2, epsilon=0.5):
     sum_i [-s_ii + log sum_j exp(s_ij)] with s = Z1 Z2' / epsilon.
     """
     Z1, Z2 = _check_batch(Z1, Z2)
-    s = (Z1 @ Z2.T) / epsilon
-    m = s.max(axis=1)
-    P = np.exp(s - m[:, None])
+    # one B x B buffer: s, then exp(s - m), then the softmax rows
+    P = Z1 @ Z2.T
+    P /= epsilon
+    s_diag = np.diagonal(P).copy()
+    m = P.max(axis=1)
+    P -= m[:, None]
+    np.exp(P, out=P)
     sums = P.sum(axis=1)
     lse = np.log(sums) + m
-    value = float(np.sum(lse - np.diagonal(s)))
+    value = float(np.sum(lse - s_diag))
     P /= sums[:, None]  # softmax rows: exp(s - lse)
     grad_z1 = (P @ Z2 - Z2) / epsilon
     grad_z2 = (P.T @ Z1 - Z1) / epsilon
@@ -135,16 +139,15 @@ def gca_ince_loss(Z1, Z2, epsilon=0.5, n_iters=5, target=None, half_step=False,
         check_batch_size(B)
     else:
         T = _check_target(target, B)
-    C = cosine_cost(Z1, Z2)
-    Km = gibbs_kernel(C, epsilon).matrix
+    Km, c_diag = cosine_kernel(Z1, Z2, epsilon)
     if frozen is not None:
         f, g = frozen["f"], frozen["g"]
     else:
         check_kernel(Km)
         opts = SolverOptions(max_iterations=n_iters)
         f, g, F, G, _, _, _, iters = _backends.sinkhorn_core(
-            Km, C, np.ones(B), np.ones(B), epsilon, opts.max_iterations,
-            opts.tolerance, False, opts.absorption_threshold, opts.floor,
+            Km, lambda: cosine_cost(Z1, Z2), np.ones(B), np.ones(B), epsilon,
+            opts.max_iterations, opts.tolerance, False, opts.absorption_threshold, opts.floor,
         )
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
             raise SolverError(f"overflow despite absorption at iteration {iters}")
@@ -159,12 +162,13 @@ def gca_ince_loss(Z1, Z2, epsilon=0.5, n_iters=5, target=None, half_step=False,
     # KL(T || P) = sum t log t - sum t log P - sum T + sum P
     if target is None:
         t_log_t = 0.0
-        t_log_p = float(np.sum(f + g) - np.trace(C)) / epsilon
+        t_log_p = float(np.sum(f + g) - np.sum(c_diag)) / epsilon
         t_mass = float(B)
         TZ2, TtZ1 = Z2, Z1
     else:
         t_log_t = float(np.sum(T * np.log(np.where(T > 0, T, 1.0))))
-        t_log_p = float(T.sum(axis=1) @ f + T.sum(axis=0) @ g - np.vdot(T, C)) / epsilon
+        t_cost = np.vdot(T, cosine_cost(Z1, Z2))  # the cost, built on demand
+        t_log_p = float(T.sum(axis=1) @ f + T.sum(axis=0) @ g - t_cost) / epsilon
         t_mass = float(T.sum())
         TZ2, TtZ1 = T @ Z2, T.T @ Z1
     value = t_log_t - t_log_p - t_mass + float(u @ (Km @ v))
@@ -184,23 +188,29 @@ def rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):
     """Robust InfoNCE: (1/q) sum_i [-e^{q s_ii} + (lam sum_j e^{s_ij})^q]."""
     Z1, Z2 = _check_batch(Z1, Z2)
     _check_rince(q, lam)
-    s = (Z1 @ Z2.T) / epsilon
-    m = s.max(axis=1)
-    e = np.exp(s - m[:, None])
-    lse = np.log(e.sum(axis=1)) + m
-    pos = np.exp(q * np.diagonal(s))
-    if lam > 0:
-        neg = np.exp(q * (lse + np.log(lam)))
-        # c_ij = d(value)/d(s_ij) = exp((q - 1) lse_i + s_ij + q log lam)
-        c = e
-        c *= np.exp((q - 1.0) * lse + m + q * np.log(lam))[:, None]
-    else:
-        neg = np.zeros_like(pos)
-        c = np.zeros_like(s)
-    c[np.diag_indices_from(c)] -= pos
-    value = float(np.sum(neg - pos) / q)
-    grad_z1 = c @ Z2 / epsilon
-    grad_z2 = c.T @ Z1 / epsilon
+    # overflow at small epsilon is reported by the output check, not by
+    # numpy's warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # one B x B buffer: s, then exp(s - m), then c = d(value)/ds
+        c = Z1 @ Z2.T
+        c /= epsilon
+        s_diag = np.diagonal(c).copy()
+        m = c.max(axis=1)
+        c -= m[:, None]
+        np.exp(c, out=c)
+        lse = np.log(c.sum(axis=1)) + m
+        pos = np.exp(q * s_diag)
+        if lam > 0:
+            neg = np.exp(q * (lse + np.log(lam)))
+            # c_ij = d(value)/d(s_ij) = exp((q - 1) lse_i + s_ij + q log lam)
+            c *= np.exp((q - 1.0) * lse + m + q * np.log(lam))[:, None]
+        else:
+            neg = np.zeros_like(pos)
+            c.fill(0.0)
+        c[np.diag_indices_from(c)] -= pos
+        value = float(np.sum(neg - pos) / q)
+        grad_z1 = c @ Z2 / epsilon
+        grad_z2 = c.T @ Z1 / epsilon
     _check_finite(value, grad_z1, grad_z2)
     return LossResult(value=value, grad_z1=grad_z1, grad_z2=grad_z2)
 
@@ -214,10 +224,9 @@ def rince_proximal_form(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):
     """
     Z1, Z2 = _check_batch(Z1, Z2)
     _check_rince(q, lam)
-    K = gibbs_kernel(cosine_cost(Z1, Z2), epsilon).matrix
+    K, _ = cosine_kernel(Z1, Z2, epsilon)
     u = 1.0 / (K.sum(axis=1))
-    half = u[:, None] * K
-    pos = (np.diag(half) / u) ** q
+    pos = (u * np.diagonal(K) / u) ** q  # the diagonal of diag(u) K, over u
     neg = (lam / u) ** q if lam > 0 else np.zeros_like(pos)
     return float(np.sum(neg - pos) / q)
 
@@ -241,16 +250,15 @@ def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
         t_diag = np.ones(B)
     else:
         t_diag = np.diagonal(np.asarray(target, dtype=np.float64))
-    K = gibbs_kernel(cosine_cost(Z1, Z2), epsilon)
-    Km = K.matrix
+    Km, _ = cosine_kernel(Z1, Z2, epsilon)
     if frozen is not None:
         v_prev = frozen["v_prev"]
     elif n_iters >= 2:
         check_kernel(Km)
         opts = SolverOptions(max_iterations=n_iters - 1)
         _, g, *_ = _backends.sinkhorn_core(
-            Km, K.cost, np.ones(B), np.ones(B), epsilon, opts.max_iterations,
-            opts.tolerance, False, opts.absorption_threshold, opts.floor,
+            Km, lambda: cosine_cost(Z1, Z2), np.ones(B), np.ones(B), epsilon,
+            opts.max_iterations, opts.tolerance, False, opts.absorption_threshold, opts.floor,
         )
         v_prev = np.exp(g / epsilon)
         if not np.all(np.isfinite(v_prev)):
@@ -265,12 +273,11 @@ def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
     # repulsion through K v, attraction on the diagonal
     a = neg / np.maximum(Kv, 1e-300)
     d = pos / epsilon
-    return LossResult(
-        value=value,
-        grad_z1=a[:, None] * (Km @ (v_prev[:, None] * Z2)) / epsilon - d[:, None] * Z2,
-        grad_z2=v_prev[:, None] * (Km.T @ (a[:, None] * Z1)) / epsilon - d[:, None] * Z1,
-        frozen={"v_prev": v_prev},
-    )
+    grad_z1 = a[:, None] * (Km @ (v_prev[:, None] * Z2)) / epsilon - d[:, None] * Z2
+    grad_z2 = v_prev[:, None] * (Km.T @ (a[:, None] * Z1)) / epsilon - d[:, None] * Z1
+    _check_finite(value, grad_z1, grad_z2)
+    return LossResult(value=value, grad_z1=grad_z1, grad_z2=grad_z2,
+                      frozen={"v_prev": v_prev})
 
 
 def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
@@ -298,9 +305,7 @@ def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
     B = Z1.shape[0]
     if target is None:
         check_batch_size(B)
-    C = cosine_cost(Z1, Z2)
-    K = gibbs_kernel(C, epsilon)
-    Km = K.matrix
+    Km, c_diag = cosine_kernel(Z1, Z2, epsilon)
     if frozen is not None:
         log_u, log_v, log_v_prev = frozen["log_u"], frozen["log_v"], frozen["log_v_prev"]
         col = None
@@ -312,41 +317,47 @@ def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
             iterations=n_iters,
             column_normalize=False,
         )
-        log_u, log_v, log_v_prev, col, _ = _solve_scalings(K, default_marginals(B), opts)
-    u = np.exp(log_u)
-    v = np.exp(log_v)
-    if col is None:
-        col = v * (Km.T @ u)
-    # KL(T || P) needs from the target only its column sums, its diagonal,
-    # sum t log t, sum t log P and the products T @ Z2, T' @ Z1
-    if target is None:
-        c = t_diag = np.ones(B)
-        t_log_t = 0.0
-        t_log_p = float(np.sum(log_u + log_v) - np.trace(C) / epsilon)
-        TZ2, TtZ1 = Z2, Z1
-    else:
-        T = np.asarray(target, dtype=np.float64)
-        c = T.sum(axis=0)
-        t_diag = np.diagonal(T)
-        t_log_t = float(np.sum(T * np.log(np.where(T > 0, T, 1.0))))
-        t_log_p = float(T.sum(axis=1) @ log_u + c @ log_v - np.vdot(T, C) / epsilon)
-        TZ2, TtZ1 = T @ Z2, T.T @ Z1
-    t_mass = float(c.sum())
-    if column_normalize:
-        kl = t_log_t - t_log_p + float(c @ np.log(col)) - t_mass + B
-        w = c / col  # column weights of Pw = P diag(w)
-    else:
-        kl = t_log_t - t_log_p - t_mass + float(col.sum())
-        w = np.ones(B)
-    pos = (np.diagonal(Km) * np.exp(log_v_prev)) ** q
-    neg = (lam * t_diag / u) ** q if lam > 0 else np.zeros_like(pos)
-    robust = float(np.sum(neg - pos) / q)
-    value = weight * robust + (1.0 - weight) * kl
-    ck = (1.0 - weight) / epsilon
-    diag = weight * pos / epsilon
-    vw = v * w
-    grad_z1 = ck * (u[:, None] * (Km @ (vw[:, None] * Z2)) - TZ2) - diag[:, None] * Z2
-    grad_z2 = ck * (vw[:, None] * (Km.T @ (u[:, None] * Z1)) - TtZ1) - diag[:, None] * Z1
+        log_u, log_v, log_v_prev, col, _ = _solve_scalings(
+            Km, lambda: cosine_cost(Z1, Z2), epsilon, default_marginals(B), opts
+        )
+    # an underflowing kernel or overflowing scalings are reported by the
+    # output check below, not by numpy's warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = np.exp(log_u)
+        v = np.exp(log_v)
+        if col is None:
+            col = v * (Km.T @ u)
+        # KL(T || P) needs from the target only its column sums, its diagonal,
+        # sum t log t, sum t log P and the products T @ Z2, T' @ Z1
+        if target is None:
+            c = t_diag = np.ones(B)
+            t_log_t = 0.0
+            t_log_p = float(np.sum(log_u + log_v) - np.sum(c_diag) / epsilon)
+            TZ2, TtZ1 = Z2, Z1
+        else:
+            T = np.asarray(target, dtype=np.float64)
+            c = T.sum(axis=0)
+            t_diag = np.diagonal(T)
+            t_log_t = float(np.sum(T * np.log(np.where(T > 0, T, 1.0))))
+            t_cost = np.vdot(T, cosine_cost(Z1, Z2))  # the cost, built on demand
+            t_log_p = float(T.sum(axis=1) @ log_u + c @ log_v - t_cost / epsilon)
+            TZ2, TtZ1 = T @ Z2, T.T @ Z1
+        t_mass = float(c.sum())
+        if column_normalize:
+            kl = t_log_t - t_log_p + float(c @ np.log(col)) - t_mass + B
+            w = c / col  # column weights of Pw = P diag(w)
+        else:
+            kl = t_log_t - t_log_p - t_mass + float(col.sum())
+            w = np.ones(B)
+        pos = (np.diagonal(Km) * np.exp(log_v_prev)) ** q
+        neg = (lam * t_diag / u) ** q if lam > 0 else np.zeros_like(pos)
+        robust = float(np.sum(neg - pos) / q)
+        value = weight * robust + (1.0 - weight) * kl
+        ck = (1.0 - weight) / epsilon
+        diag = weight * pos / epsilon
+        vw = v * w
+        grad_z1 = ck * (u[:, None] * (Km @ (vw[:, None] * Z2)) - TZ2) - diag[:, None] * Z2
+        grad_z2 = ck * (vw[:, None] * (Km.T @ (u[:, None] * Z1)) - TtZ1) - diag[:, None] * Z1
     if not (np.isfinite(value) and np.all(np.isfinite(grad_z1)) and np.all(np.isfinite(grad_z2))):
         raise SolverError(
             f"non-finite loss at epsilon={epsilon}: the kernel underflows or the scalings overflow"

@@ -32,8 +32,14 @@ def uniformity_loss(Z, epsilon):
     if B < 2:
         raise MetricError("uniformity needs at least two samples")
     sq = np.sum(Z * Z, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T)
-    pot = np.exp(-epsilon * np.maximum(d2, 0.0))
+    # one B x B buffer: the Gram matrix, the squared distances, the potentials
+    pot = Z @ Z.T
+    pot *= -2.0
+    pot += sq[:, None]
+    pot += sq[None, :]
+    np.maximum(pot, 0.0, out=pot)
+    pot *= -epsilon
+    np.exp(pot, out=pot)
     np.fill_diagonal(pot, 0.0)
     return float(np.log(pot.sum() / (B * (B - 1))))
 

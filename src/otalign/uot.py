@@ -35,19 +35,22 @@ class UotOptions:
             raise SolverError("epsilon and iteration count must be positive")
 
 
-def _solve_scalings(K: GibbsKernel, marginals, opts):
+def _solve_scalings(Km, cost, epsilon, marginals, opts):
     """Raw core call: (log_u, log_v, log_v_prev, col_sums, iterations).
 
-    log_v_prev is the column scaling entering the final sweep, which the
-    robust losses need alongside the finished scalings; col_sums are the
-    column sums of the unnormalized plan diag(u) K diag(v).
+    ``Km`` is the kernel matrix of ``cost`` at ``epsilon``; ``cost`` is the
+    cost array or a function that builds it, which the loop calls only at
+    its first absorption.  log_v_prev is the column scaling entering the
+    final sweep, which the robust losses need alongside the finished
+    scalings; col_sums are the column sums of the unnormalized plan
+    diag(u) K diag(v).
     """
     return _backends.uot_core(
-        np.ascontiguousarray(K.matrix),
-        np.ascontiguousarray(K.cost),
+        np.ascontiguousarray(Km),
+        cost,
         np.asarray(marginals.mu, dtype=np.float64),
         np.asarray(marginals.nu, dtype=np.float64),
-        K.epsilon,
+        epsilon,
         opts.lambda1,
         opts.lambda2,
         opts.iterations,
@@ -77,7 +80,7 @@ def unbalanced_sinkhorn(K: GibbsKernel, marginals=None, opts=None):
     mu = np.asarray(marginals.mu, dtype=np.float64)
     nu = np.asarray(marginals.nu, dtype=np.float64)
     check_marginals(K.matrix.shape, mu, nu)
-    log_u, log_v, _, _, iters = _solve_scalings(K, marginals, opts)
+    log_u, log_v, _, _, iters = _solve_scalings(K.matrix, K.cost, K.epsilon, marginals, opts)
     if not (np.all(np.isfinite(log_u)) and np.all(np.isfinite(log_v))):
         raise SolverError("overflow despite absorption in unbalanced solve")
     f = K.epsilon * log_u

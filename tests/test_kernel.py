@@ -7,6 +7,7 @@ from otalign.kernel import (
     KernelError,
     byol_kernel,
     cosine_cost,
+    cosine_kernel,
     gibbs_kernel,
     normalize_rows,
     sqeuclidean_cost,
@@ -86,6 +87,21 @@ def test_gibbs_kernel_is_exp_of_negated_cost_bit_for_bit(rng):
         K = gibbs_kernel(C, eps)
         assert np.array_equal(K.matrix, np.exp(-C / eps))
         assert K.cost is C
+
+
+@pytest.mark.parametrize("B", [64, 1024])
+def test_cosine_kernel_is_the_kernel_of_the_cost_bit_for_bit(rng, B):
+    # one fused buffer; the numbers of gibbs_kernel(cosine_cost(...)) must not change
+    Z1 = normalize_rows(rng.normal(size=(B, 16)))
+    Z2 = normalize_rows(Z1 + 0.3 * rng.normal(size=(B, 16)))
+    for Za, Zb in ((Z1, Z2), (Z1, Z1)):
+        C = np.clip(1 - Za @ Zb.T, 0, 2)
+        for eps in (0.05, 0.5):
+            K, diag = cosine_kernel(Za, Zb, eps)
+            assert K.tobytes() == np.exp(-C / eps).tobytes()
+            assert diag.tobytes() == np.diagonal(C).tobytes()
+    with pytest.raises(KernelError, match="epsilon must be positive"):
+        cosine_kernel(Z1, Z2, 0.0)
 
 
 def test_gibbs_kernel_rejects_bad_epsilon():

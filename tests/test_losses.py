@@ -1,3 +1,6 @@
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -188,20 +191,28 @@ def test_gca_ince_custom_target(rng):
     assert res.grad_z1.shape == Z1.shape
 
 
-def test_gca_ince_builds_its_cost_once(rng, monkeypatch):
+def count_calls(monkeypatch, name):
+    """Replace otalign.losses.<name> with a wrapper; returns its call list."""
     import otalign.losses
 
-    Z1, Z2 = pair(rng)
-    want = gca_ince_loss(Z1, Z2, epsilon=0.5)
     calls = []
+    original = getattr(otalign.losses, name)
 
     def counted(*args):
         calls.append(args)
-        return cosine_cost(*args)
+        return original(*args)
 
-    monkeypatch.setattr(otalign.losses, "cosine_cost", counted)
+    monkeypatch.setattr(otalign.losses, name, counted)
+    return calls
+
+
+def test_gca_ince_builds_its_cost_once(rng, monkeypatch):
+    Z1, Z2 = pair(rng)
+    want = gca_ince_loss(Z1, Z2, epsilon=0.5)
+    kernels = count_calls(monkeypatch, "cosine_kernel")
+    costs = count_calls(monkeypatch, "cosine_cost")
     got = gca_ince_loss(Z1, Z2, epsilon=0.5)
-    assert len(calls) == 1
+    assert len(kernels) == 1 and len(costs) == 0
     # the kernel is built from the loss's own cost: the same numbers
     K = gibbs_kernel(cosine_cost(Z1, Z2), 0.5)
     plan, _, _ = sinkhorn(K, opts=SolverOptions(max_iterations=5))
@@ -209,6 +220,75 @@ def test_gca_ince_builds_its_cost_once(rng, monkeypatch):
     assert got.value == want.value
     assert np.array_equal(got.grad_z1, want.grad_z1)
     assert np.array_equal(got.grad_z2, want.grad_z2)
+
+
+@pytest.mark.parametrize("loss_id", ["gca-ince", "gca-rince", "gca-uot"])
+def test_gca_losses_build_the_cost_only_when_absorption_fires(rng, monkeypatch, loss_id):
+    # the kernel comes from one fused buffer; the cost is built for the first
+    # absorption only, which never fires at eps=0.5 and does at eps=0.05
+    Z1, Z2 = pair(rng, B=1024, d=32)
+    costs = count_calls(monkeypatch, "cosine_cost")
+    for eps, builds in ((0.5, 0), (0.05, 1)):
+        del costs[:]
+        LOSS_FUNCTIONS[loss_id](Z1, Z2, epsilon=eps)
+        assert len(costs) == builds, (eps, len(costs))
+
+
+# ------------------------------------------- the formulas before fusion
+#
+# ince, rince and rince_proximal_form build their B x B data in one
+# buffer.  These are the formulas as they read with fresh arrays; the
+# fused code must give the same numbers bit for bit.
+
+
+def unfused_ince(Z1, Z2, eps):
+    s = (Z1 @ Z2.T) / eps
+    m = s.max(axis=1)
+    P = np.exp(s - m[:, None])
+    sums = P.sum(axis=1)
+    value = float(np.sum(np.log(sums) + m - np.diagonal(s)))
+    P /= sums[:, None]
+    return value, (P @ Z2 - Z2) / eps, (P.T @ Z1 - Z1) / eps
+
+
+def unfused_rince(Z1, Z2, eps, q, lam):
+    s = (Z1 @ Z2.T) / eps
+    m = s.max(axis=1)
+    e = np.exp(s - m[:, None])
+    lse = np.log(e.sum(axis=1)) + m
+    pos = np.exp(q * np.diagonal(s))
+    if lam > 0:
+        neg = np.exp(q * (lse + np.log(lam)))
+        c = e * np.exp((q - 1.0) * lse + m + q * np.log(lam))[:, None]
+    else:
+        neg = np.zeros_like(pos)
+        c = np.zeros_like(s)
+    c[np.diag_indices_from(c)] -= pos
+    return float(np.sum(neg - pos) / q), c @ Z2 / eps, c.T @ Z1 / eps
+
+
+def unfused_rince_proximal_form(Z1, Z2, eps, q, lam):
+    K = np.exp(-np.clip(1 - Z1 @ Z2.T, 0, 2) / eps)
+    u = 1.0 / (K.sum(axis=1))
+    pos = (np.diag(u[:, None] * K) / u) ** q
+    neg = (lam / u) ** q if lam > 0 else np.zeros_like(pos)
+    return float(np.sum(neg - pos) / q)
+
+
+@pytest.mark.parametrize("B", [64, 1024])
+def test_fused_losses_equal_the_unfused_formulas_bit_for_bit(rng, B):
+    Z1, Z2 = pair(rng, B=B, d=16)
+    Z2 = normalize_rows(Z1 + 0.3 * Z2)
+    for eps in (0.5, 0.05):
+        cases = [(ince_loss(Z1, Z2, epsilon=eps), unfused_ince(Z1, Z2, eps))]
+        for lam in (0.01, 0.0):
+            cases.append((rince_loss(Z1, Z2, epsilon=eps, q=0.98, lam=lam),
+                          unfused_rince(Z1, Z2, eps, 0.98, lam)))
+            assert (rince_proximal_form(Z1, Z2, epsilon=eps, q=0.98, lam=lam)
+                    == unfused_rince_proximal_form(Z1, Z2, eps, 0.98, lam))
+        for res, (value, g1, g2) in cases:
+            assert res.value == value
+            assert np.array_equal(res.grad_z1, g1) and np.array_equal(res.grad_z2, g2)
 
 
 # ----------------------------------------- dense reference formulas
@@ -310,7 +390,9 @@ def test_gca_uot_matches_dense_formula(rng, name):
     res = gca_uot_loss(Z1, Z2, **kw)
     K = gibbs_kernel(cosine_cost(Z1, Z2), eps)
     opts = UotOptions(epsilon=eps, column_normalize=False)
-    log_u, log_v, log_v_prev, _, _ = _solve_scalings(K, default_marginals(len(Z1)), opts)
+    log_u, log_v, log_v_prev, _, _ = _solve_scalings(
+        K.matrix, K.cost, eps, default_marginals(len(Z1)), opts
+    )
     for key, want in (("log_u", log_u), ("log_v", log_v), ("log_v_prev", log_v_prev)):
         assert np.array_equal(res.frozen[key], want)
     if name == "absorbing":
@@ -419,7 +501,12 @@ def test_gca_ince_rejects_a_target_that_does_not_fit(rng):
         gca_ince_loss(Z1, Z2, target=bad)
 
 
-@pytest.mark.parametrize("fn", [ince_loss, rince_loss])
+@pytest.mark.parametrize("fn", [
+    ince_loss,
+    rince_loss,
+    # one sweep runs no scaling loop, so no kernel check sees the NaN
+    pytest.param(partial(gca_rince_loss, n_iters=1), id="gca_rince_loss-one-sweep"),
+])
 def test_nan_embedding_raises_instead_of_returning_nan(rng, fn):
     Z1, Z2 = pair(rng)
     Z2[0, 0] = np.nan
@@ -450,6 +537,20 @@ def test_gca_uot_kernel_underflow_raises(unit_batch):
     with pytest.raises(SolverError):
         gca_uot_loss(Z1, Z2, epsilon=1e-4)
     assert np.isfinite(gca_uot_loss(Z1, Z2, epsilon=1e-3).value)
+
+
+def test_typed_failures_raise_without_runtime_warnings(unit_batch):
+    # overflow on the way to a non-finite result is the typed error's job
+    # to report; numpy's warnings about it are noise
+    Z1, Z2 = unit_batch(64, 8), unit_batch(64, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LossError, match="non-finite"):
+            rince_loss(Z1, Z2, epsilon=1e-3)
+        with pytest.raises(SolverError, match="non-finite"):
+            gca_uot_loss(Z1, Z2, epsilon=1e-4)
+        # the kernel underflows in part here, yet the loss is finite
+        assert gca_uot_loss(Z1, Z2, epsilon=1e-3).value == 22074.624247222313
 
 
 # ---------------------------------------------------------------- gradients

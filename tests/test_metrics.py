@@ -46,6 +46,19 @@ def test_uniformity_prefers_spread(rng):
     assert uniformity_loss(spread, 0.5) < uniformity_loss(tight, 0.5)
 
 
+@pytest.mark.parametrize("n", [64, 400])
+def test_uniformity_matches_the_pairwise_formula(rng, n):
+    # built in one buffer, so the squared distances sum in another order
+    Z = normalize_rows(rng.standard_normal((n, 16)))
+    for eps in (0.5, 2.0):
+        sq = np.sum(Z * Z, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T)
+        pot = np.exp(-eps * np.maximum(d2, 0.0))
+        np.fill_diagonal(pot, 0.0)
+        want = np.log(pot.sum() / (n * (n - 1)))
+        assert abs(uniformity_loss(Z, eps) - want) <= 1e-14 * abs(want)
+
+
 def test_uniformity_needs_two_samples():
     with pytest.raises(MetricError, match="at least two"):
         uniformity_loss(np.ones((1, 3)), 1.0)
