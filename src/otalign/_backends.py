@@ -1,76 +1,91 @@
-"""The two hot scaling loops, in plain numpy.
+"""The hot scaling loop, in plain numpy.
 
-Both take the cost either as an array or as a zero-argument function that
-builds it.  A loop reads the cost only at its first absorption, which
-rebuilds the kernel from the absorbed potentials, so a caller that holds
-only the kernel passes such a function and pays for the cost only when the
-scalings grow past the absorption threshold.  Callers reach the loops as
-module attributes (``_backends.sinkhorn_core``), so that a wrapper put in
-their place sees every call.
+One loop serves balanced and unbalanced transport: balanced Sinkhorn is
+the lambda -> inf case of the KL-relaxed update, whose exponents are
+lambda / (lambda + eps).  The loop takes the cost either as an array or as
+a zero-argument function that builds it.  It reads the cost only at its
+first absorption, which rebuilds the kernel from the absorbed potentials,
+so a caller that holds only the kernel passes such a function and pays for
+the cost only when the scalings grow past the absorption threshold.
+Callers reach the loop as a module attribute (``_backends.sinkhorn_core``),
+so that a wrapper put in its place sees every call.
 """
 
 import numpy as np
 
-# initial half-step capacity of the scaling loop's trajectory records
-TRAJECTORY_ROWS = 64
 
-
-def sinkhorn_core(K, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
+def sinkhorn_core(K, C, mu, nu, eps, max_iter, tau, floor, lam1=np.inf, lam2=np.inf,
+                  tol=None, record=False):
     """Gauss-Seidel scaling loop with log-domain absorption.
 
-    Two matvecs per iteration: ``Kw.T @ u`` serves the column update and
-    both column residuals, and ``Kw @ v`` serves the even half-step's row
-    residual and the next iteration's row update.  Returns total dual
-    potentials (f, g), per-half-step potential and residual trajectories,
-    the number of half-steps taken, and the number of full iterations run.
-    ``C`` is the cost or a function that builds it, called at most once.
+    Each iteration is a row update u = (mu / (K v))^(lam1/(lam1+eps))
+    followed by a column update of v in the same form; an infinite penalty
+    makes the exponent one, the balanced update.  Returns (f, g, g_prev,
+    col, trajectory, iterations): the total dual potentials, the column
+    potential entering the final iteration, the column sums v * (K' u) of
+    the final iteration taken before any absorption (which does not change
+    the plan), the trajectory, and the number of iterations run.
+
+    Only with ``record`` does the loop keep a trajectory: the potentials
+    (F, G) and L1 marginal residuals of every half-step; otherwise it is
+    None.  With a ``tol`` the loop stops after the first iteration whose
+    row and column residuals are both within it.  ``C`` is the cost or a
+    function that builds it, called at most once.
     """
     B = K.shape[0]
+    fi1 = 1.0 if lam1 == np.inf else lam1 / (lam1 + eps)
+    fi2 = 1.0 if lam2 == np.inf else lam2 / (lam2 + eps)
+    check = record or tol is not None
     u = np.ones(B)
     v = np.ones(B)
     fa = np.zeros(B)  # absorbed part of f
     ga = np.zeros(B)
+    v_prev, ga_prev = v, ga
+    v_end, KTu = v, np.zeros(B)  # v before any absorption, and K' u
     Kw = K  # replaced by an owned buffer at the first absorption
     owned = False
-    # per-half-step records, grown by doubling: tolerance mode allows far
-    # more iterations than a solve usually takes, and a buffer sized for all
-    # of them is megabytes of mostly untouched memory
-    FG = np.zeros((min(2 * max_iter, TRAJECTORY_ROWS), 2, B))
-    err = np.zeros((FG.shape[0], 2))
-    nh = 0
+    F, G, row_err, col_err = [], [], [], []
+    Kv = None  # K v when the residual check has it for the next row update
     iters = 0
-    Kv = Kw @ v
     for _ in range(max_iter):
-        if nh + 2 > FG.shape[0]:
-            cap = min(2 * FG.shape[0], 2 * max_iter)
-            FG2 = np.zeros((cap, 2, B))
-            FG2[:nh] = FG[:nh]
-            FG = FG2
-            err2 = np.zeros((cap, 2))
-            err2[:nh] = err[:nh]
-            err = err2
+        v_prev, ga_prev = v, ga
+        if Kv is None:
+            Kv = Kw @ v
         u = mu / (Kv + floor)
+        if fi1 != 1.0:
+            np.power(u, fi1, out=u)
+            # the damping factors exp(-fa/(eps+lam)) are exactly one until
+            # the first absorption, so their vector passes wait until then
+            if owned:
+                u *= np.exp(-fa / (eps + lam1))
         KTu = Kw.T @ u
-        # odd half-step: rows feasible by construction
-        FG[nh, 0] = fa + eps * np.log(u)
-        FG[nh, 1] = ga + eps * np.log(v)
-        err[nh, 0] = np.sum(np.abs(u * Kv - mu))
-        err[nh, 1] = np.sum(np.abs(v * KTu - nu))
-        nh += 1
-        v = nu / (KTu + floor)
-        # even half-step: columns feasible, row residual needs one matvec
-        Kv = Kw @ v
-        re = np.sum(np.abs(u * Kv - mu))
-        ce = np.sum(np.abs(v * KTu - nu))
-        FG[nh, 0] = fa + eps * np.log(u)
-        FG[nh, 1] = ga + eps * np.log(v)
-        err[nh, 0] = re
-        err[nh, 1] = ce
-        nh += 1
+        if record:
+            # odd half-step: rows feasible by construction when balanced
+            F.append(fa + eps * np.log(u))
+            G.append(ga + eps * np.log(v))
+            row_err.append(np.sum(np.abs(u * Kv - mu)))
+            col_err.append(np.sum(np.abs(v * KTu - nu)))
+        v_end = v = nu / (KTu + floor)
+        if fi2 != 1.0:
+            np.power(v, fi2, out=v)
+            if owned:
+                v *= np.exp(-ga / (eps + lam2))
         iters += 1
-        if to_tol and re <= tol and ce <= tol:
-            break
-        if np.max(u) > tau or np.max(v) > tau:
+        Kv = None
+        if check:
+            # even half-step: the row residual needs one more matvec, which
+            # the next row update reuses
+            Kv = Kw @ v
+            re = np.sum(np.abs(u * Kv - mu))
+            ce = np.sum(np.abs(v * KTu - nu))
+            if record:
+                F.append(F[-1])
+                G.append(ga + eps * np.log(v))
+                row_err.append(re)
+                col_err.append(ce)
+            if tol is not None and re <= tol and ce <= tol:
+                break
+        if u.max() > tau or v.max() > tau:
             fa = fa + eps * np.log(u)
             ga = ga + eps * np.log(v)
             if not owned:
@@ -86,60 +101,9 @@ def sinkhorn_core(K, C, mu, nu, eps, max_iter, tol, to_tol, tau, floor):
             np.exp(Kw, Kw)
             u = np.ones(B)
             v = np.ones(B)
-            Kv = Kw @ v
+            Kv = None
     f = fa + eps * np.log(u)
     g = ga + eps * np.log(v)
-    return f, g, FG[:nh, 0], FG[:nh, 1], err[:nh, 0], err[:nh, 1], nh, iters
-
-
-def uot_core(K, C, mu, nu, eps, lam1, lam2, max_iter, tau, floor):
-    """Exponent-damped scaling loop for KL-relaxed marginals.
-
-    Returns total log scalings (log u, log v), the total log v from the
-    start of the final iteration, the column sums of the final plan
-    diag(u) K diag(v) (taken from the last ``Kw.T @ u``, which absorption
-    leaves valid because it does not change the plan), and the iteration
-    count.  ``C`` is the cost or a function that builds it, called at most
-    once.
-    """
-    B = K.shape[0]
-    fi1 = lam1 / (lam1 + eps)
-    fi2 = lam2 / (lam2 + eps)
-    u = np.ones(B)
-    v = np.ones(B)
-    fa = np.zeros(B)
-    ga = np.zeros(B)
-    Kw = K  # replaced by an owned buffer at the first absorption
-    owned = False
-    log_v_prev = np.zeros(B)
-    col = np.zeros(B)
-    for _ in range(max_iter):
-        log_v_prev = ga / eps + np.log(v)
-        u = (mu / (Kw @ v + floor)) ** fi1
-        # the damping factors exp(-fa/(eps+lam)) are exactly one until the
-        # first absorption, so their vector passes are skipped until then
-        if owned:
-            u *= np.exp(-fa / (eps + lam1))
-        KTu = Kw.T @ u
-        v = (nu / (KTu + floor)) ** fi2
-        if owned:
-            v *= np.exp(-ga / (eps + lam2))
-        col = v * KTu
-        if np.max(u) > tau or np.max(v) > tau:
-            fa = fa + eps * np.log(u)
-            ga = ga + eps * np.log(v)
-            if not owned:
-                Kw = np.empty_like(K)
-                owned = True
-                if callable(C):
-                    C = C()
-            np.add(fa.reshape(B, 1), ga.reshape(1, B), Kw)
-            Kw -= C
-            Kw /= eps
-            np.exp(Kw, Kw)
-            u = np.ones(B)
-            v = np.ones(B)
-    log_u = fa / eps + np.log(u)
-    log_v = ga / eps + np.log(v)
-    return log_u, log_v, log_v_prev, col, max_iter
-
+    g_prev = ga_prev + eps * np.log(v_prev)
+    trajectory = (np.array(F), np.array(G), np.array(row_err), np.array(col_err)) if record else None
+    return f, g, g_prev, v_end * KTu, trajectory, iters

@@ -8,7 +8,7 @@ embeddings, which is what the finite-difference checker uses.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from . import _backends
 from .kernel import cosine_cost, cosine_kernel, gibbs_kernel
 from .plans import check_batch_size
-from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel, default_marginals
+from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel
 from .uot import UotOptions, _solve_scalings
 
 
@@ -60,6 +60,19 @@ def _check_target(target, B):
     if np.any(T < 0):
         raise LossError("target must be non-negative")
     return T
+
+
+def _cost_builder(Z1, Z2):
+    """A function that builds the cosine cost on its first call and returns
+    that array on every later one: the scaling loop and <T, C> share it."""
+    built = []
+
+    def cost():
+        if not built:
+            built.append(cosine_cost(Z1, Z2))
+        return built[0]
+
+    return cost
 
 
 def _check_finite(value, grad_z1, grad_z2):
@@ -140,20 +153,21 @@ def gca_ince_loss(Z1, Z2, epsilon=0.5, n_iters=5, target=None, half_step=False,
     else:
         T = _check_target(target, B)
     Km, c_diag = cosine_kernel(Z1, Z2, epsilon)
+    cost = _cost_builder(Z1, Z2)
     if frozen is not None:
         f, g = frozen["f"], frozen["g"]
     else:
         check_kernel(Km)
         opts = SolverOptions(max_iterations=n_iters)
-        f, g, F, G, _, _, _, iters = _backends.sinkhorn_core(
-            Km, lambda: cosine_cost(Z1, Z2), np.ones(B), np.ones(B), epsilon,
-            opts.max_iterations, opts.tolerance, False, opts.absorption_threshold, opts.floor,
+        f, g, g_prev, _, _, iters = _backends.sinkhorn_core(
+            Km, cost, np.ones(B), np.ones(B), epsilon,
+            opts.max_iterations, opts.absorption_threshold, opts.floor,
         )
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
             raise SolverError(f"overflow despite absorption at iteration {iters}")
         if half_step:
-            # the core's record of half-step 2n-1, the final row update
-            f, g = F[2 * n_iters - 2].copy(), G[2 * n_iters - 2].copy()
+            # half-step 2n-1, the final row update: f is final, g enters it
+            g = g_prev
     # P = diag(u) K diag(v) with u = e^{(f-c)/eps}, v = e^{(g+c)/eps}; the
     # gauge shift c keeps both factors in range, as in dual_objectives
     c = (np.max(f) - np.max(g)) / 2
@@ -167,7 +181,7 @@ def gca_ince_loss(Z1, Z2, epsilon=0.5, n_iters=5, target=None, half_step=False,
         TZ2, TtZ1 = Z2, Z1
     else:
         t_log_t = float(np.sum(T * np.log(np.where(T > 0, T, 1.0))))
-        t_cost = np.vdot(T, cosine_cost(Z1, Z2))  # the cost, built on demand
+        t_cost = np.vdot(T, cost())
         t_log_p = float(T.sum(axis=1) @ f + T.sum(axis=0) @ g - t_cost) / epsilon
         t_mass = float(T.sum())
         TZ2, TtZ1 = T @ Z2, T.T @ Z1
@@ -249,7 +263,7 @@ def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
         check_batch_size(B)
         t_diag = np.ones(B)
     else:
-        t_diag = np.diagonal(np.asarray(target, dtype=np.float64))
+        t_diag = np.diagonal(_check_target(target, B))
     Km, _ = cosine_kernel(Z1, Z2, epsilon)
     if frozen is not None:
         v_prev = frozen["v_prev"]
@@ -258,7 +272,7 @@ def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
         opts = SolverOptions(max_iterations=n_iters - 1)
         _, g, *_ = _backends.sinkhorn_core(
             Km, lambda: cosine_cost(Z1, Z2), np.ones(B), np.ones(B), epsilon,
-            opts.max_iterations, opts.tolerance, False, opts.absorption_threshold, opts.floor,
+            opts.max_iterations, opts.absorption_threshold, opts.floor,
         )
         v_prev = np.exp(g / epsilon)
         if not np.all(np.isfinite(v_prev)):
@@ -278,6 +292,14 @@ def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
     _check_finite(value, grad_z1, grad_z2)
     return LossResult(value=value, grad_z1=grad_z1, grad_z2=grad_z2,
                       frozen={"v_prev": v_prev})
+
+
+@lru_cache(maxsize=64, typed=True)
+def _uot_options(lambda1, lambda2, epsilon, n_iters):
+    """The scaling options of a gca-uot call, validated once per setting:
+    they are frozen, so one object serves every call that shares them."""
+    return UotOptions(lambda1=lambda1, lambda2=lambda2, epsilon=epsilon, iterations=n_iters,
+                      column_normalize=False)
 
 
 def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
@@ -305,24 +327,22 @@ def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
     B = Z1.shape[0]
     if target is None:
         check_batch_size(B)
-    Km, c_diag = cosine_kernel(Z1, Z2, epsilon)
-    if frozen is not None:
-        log_u, log_v, log_v_prev = frozen["log_u"], frozen["log_v"], frozen["log_v_prev"]
-        col = None
     else:
-        opts = UotOptions(
-            lambda1=lambda1,
-            lambda2=lambda2,
-            epsilon=epsilon,
-            iterations=n_iters,
-            column_normalize=False,
-        )
-        log_u, log_v, log_v_prev, col, _ = _solve_scalings(
-            Km, lambda: cosine_cost(Z1, Z2), epsilon, default_marginals(B), opts
-        )
+        T = _check_target(target, B)
+    Km, c_diag = cosine_kernel(Z1, Z2, epsilon)
+    cost = _cost_builder(Z1, Z2)
+    ones = np.ones(B)
     # an underflowing kernel or overflowing scalings are reported by the
-    # output check below, not by numpy's warnings on the way there
+    # output check below, not by numpy's warnings on the way there; ufuncs
+    # that ignore every floating-point error also skip reading the flags
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if frozen is not None:
+            log_u, log_v, log_v_prev = frozen["log_u"], frozen["log_v"], frozen["log_v_prev"]
+            col = None
+        else:
+            log_u, log_v, log_v_prev, col, _ = _solve_scalings(
+                Km, cost, epsilon, ones, ones, _uot_options(lambda1, lambda2, epsilon, n_iters)
+            )
         u = np.exp(log_u)
         v = np.exp(log_v)
         if col is None:
@@ -330,35 +350,43 @@ def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
         # KL(T || P) needs from the target only its column sums, its diagonal,
         # sum t log t, sum t log P and the products T @ Z2, T' @ Z1
         if target is None:
-            c = t_diag = np.ones(B)
+            c = ones
+            t_diag = 1.0
             t_log_t = 0.0
-            t_log_p = float(np.sum(log_u + log_v) - np.sum(c_diag) / epsilon)
-            TZ2, TtZ1 = Z2, Z1
+            t_log_p = float((log_u + log_v).sum() - c_diag.sum() / epsilon)
+            t_mass = float(B)
         else:
-            T = np.asarray(target, dtype=np.float64)
             c = T.sum(axis=0)
             t_diag = np.diagonal(T)
             t_log_t = float(np.sum(T * np.log(np.where(T > 0, T, 1.0))))
-            t_cost = np.vdot(T, cosine_cost(Z1, Z2))  # the cost, built on demand
+            t_cost = np.vdot(T, cost())
             t_log_p = float(T.sum(axis=1) @ log_u + c @ log_v - t_cost / epsilon)
-            TZ2, TtZ1 = T @ Z2, T.T @ Z1
-        t_mass = float(c.sum())
+            t_mass = float(c.sum())
         if column_normalize:
             kl = t_log_t - t_log_p + float(c @ np.log(col)) - t_mass + B
-            w = c / col  # column weights of Pw = P diag(w)
+            vw = v * (c / col)  # v times the column weights of Pw = P diag(c / col)
         else:
             kl = t_log_t - t_log_p - t_mass + float(col.sum())
-            w = np.ones(B)
-        pos = (np.diagonal(Km) * np.exp(log_v_prev)) ** q
-        neg = (lam * t_diag / u) ** q if lam > 0 else np.zeros_like(pos)
-        robust = float(np.sum(neg - pos) / q)
+            vw = v
+        pos = np.power(Km.diagonal() * np.exp(log_v_prev), q)
+        neg = np.power(lam * t_diag / u, q) if lam > 0 else np.zeros_like(pos)
+        robust = float((neg - pos).sum() / q)
         value = weight * robust + (1.0 - weight) * kl
+        # -d(value)/dC_ij = ck u_i K_ij vw_j - ck t_ij - d_i [i == j] with
+        # ck = (1 - weight) / eps and d = weight * pos / eps
         ck = (1.0 - weight) / epsilon
-        diag = weight * pos / epsilon
-        vw = v * w
-        grad_z1 = ck * (u[:, None] * (Km @ (vw[:, None] * Z2)) - TZ2) - diag[:, None] * Z2
-        grad_z2 = ck * (vw[:, None] * (Km.T @ (u[:, None] * Z1)) - TtZ1) - diag[:, None] * Z1
-    if not (np.isfinite(value) and np.all(np.isfinite(grad_z1)) and np.all(np.isfinite(grad_z2))):
+        a = ck * u
+        d = pos * (weight / epsilon)
+        grad_z1 = a[:, None] * (Km @ (vw[:, None] * Z2))
+        grad_z2 = vw[:, None] * (Km.T @ (a[:, None] * Z1))
+        if target is None:
+            d += ck  # T = I: the KL pull joins the robust pull on the diagonal
+        else:
+            grad_z1 -= ck * (T @ Z2)
+            grad_z2 -= ck * (T.T @ Z1)
+        grad_z1 -= d[:, None] * Z2
+        grad_z2 -= d[:, None] * Z1
+    if not (np.isfinite(value) and np.isfinite(grad_z1).all() and np.isfinite(grad_z2).all()):
         raise SolverError(
             f"non-finite loss at epsilon={epsilon}: the kernel underflows or the scalings overflow"
         )

@@ -168,31 +168,23 @@ def sinkhorn(K: GibbsKernel, marginals=None, opts=None):
     nu = np.asarray(marginals.nu, dtype=np.float64)
     check_marginals(Km.shape, mu, nu)
     Km = np.ascontiguousarray(Km)
-    f, g, F, G, row_err, col_err, nh, iters = _backends.sinkhorn_core(
+    f, g, _, _, (F, G, row_err, col_err), iters = _backends.sinkhorn_core(
         Km,
         np.ascontiguousarray(K.cost),
         mu,
         nu,
         K.epsilon,
         opts.max_iterations,
-        opts.tolerance,
-        opts.mode == "tolerance",
         opts.absorption_threshold,
         opts.floor,
+        tol=opts.tolerance if opts.mode == "tolerance" else None,
+        record=True,
     )
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
         raise SolverError(f"overflow despite absorption at iteration {iters}")
-    traj = Trajectory(
-        f=np.array(F[:nh]),
-        g=np.array(G[:nh]),
-        row_err=np.array(row_err[:nh]),
-        col_err=np.array(col_err[:nh]),
-        cost=K.cost,
-        epsilon=K.epsilon,
-    )
+    traj = Trajectory(f=F, g=G, row_err=row_err, col_err=col_err, cost=K.cost, epsilon=K.epsilon)
     P = _gibbs_plan(f, g, K.cost, K.epsilon)
-    rr = float(np.sum(np.abs(P.sum(axis=1) - mu)))
-    cr = float(np.sum(np.abs(P.sum(axis=0) - nu)))
+    rr, cr = marginal_error(P, marginals)
     state = ScalingState(
         u=np.exp(f / K.epsilon), v=np.exp(g / K.epsilon), f=f, g=g, iterations=int(iters)
     )

@@ -14,6 +14,7 @@ from .solver import (
     check_marginals,
     check_square,
     default_marginals,
+    marginal_error,
 )
 
 
@@ -35,28 +36,30 @@ class UotOptions:
             raise SolverError("epsilon and iteration count must be positive")
 
 
-def _solve_scalings(Km, cost, epsilon, marginals, opts):
-    """Raw core call: (log_u, log_v, log_v_prev, col_sums, iterations).
+def _solve_scalings(Km, cost, epsilon, mu, nu, opts):
+    """Unbalanced loop call: (log_u, log_v, log_v_prev, col_sums, iterations).
 
     ``Km`` is the kernel matrix of ``cost`` at ``epsilon``; ``cost`` is the
     cost array or a function that builds it, which the loop calls only at
-    its first absorption.  log_v_prev is the column scaling entering the
-    final sweep, which the robust losses need alongside the finished
-    scalings; col_sums are the column sums of the unnormalized plan
-    diag(u) K diag(v).
+    its first absorption; ``mu`` and ``nu`` are float64 marginal vectors.
+    The loop's potentials come back as log scalings (potential / epsilon).
+    log_v_prev is the column scaling entering the final sweep, which the
+    robust losses need alongside the finished scalings; col_sums are the
+    column sums of the unnormalized plan diag(u) K diag(v).
     """
-    return _backends.uot_core(
+    f, g, g_prev, col, _, iters = _backends.sinkhorn_core(
         np.ascontiguousarray(Km),
         cost,
-        np.asarray(marginals.mu, dtype=np.float64),
-        np.asarray(marginals.nu, dtype=np.float64),
+        mu,
+        nu,
         epsilon,
-        opts.lambda1,
-        opts.lambda2,
         opts.iterations,
         opts.absorption_threshold,
         opts.floor,
+        lam1=opts.lambda1,
+        lam2=opts.lambda2,
     )
+    return f / epsilon, g / epsilon, g_prev / epsilon, col, iters
 
 
 def unbalanced_sinkhorn(K: GibbsKernel, marginals=None, opts=None):
@@ -80,7 +83,7 @@ def unbalanced_sinkhorn(K: GibbsKernel, marginals=None, opts=None):
     mu = np.asarray(marginals.mu, dtype=np.float64)
     nu = np.asarray(marginals.nu, dtype=np.float64)
     check_marginals(K.matrix.shape, mu, nu)
-    log_u, log_v, _, _, iters = _solve_scalings(K.matrix, K.cost, K.epsilon, marginals, opts)
+    log_u, log_v, _, _, iters = _solve_scalings(K.matrix, K.cost, K.epsilon, mu, nu, opts)
     if not (np.all(np.isfinite(log_u)) and np.all(np.isfinite(log_v))):
         raise SolverError("overflow despite absorption in unbalanced solve")
     f = K.epsilon * log_u
@@ -91,8 +94,7 @@ def unbalanced_sinkhorn(K: GibbsKernel, marginals=None, opts=None):
         if np.any(csum <= 0):
             raise SolverError("zero column sum before normalization")
         P = P * (nu / csum)[None, :]
-    rr = float(np.sum(np.abs(P.sum(axis=1) - mu)))
-    cr = float(np.sum(np.abs(P.sum(axis=0) - nu)))
+    rr, cr = marginal_error(P, marginals)
     state = ScalingState(
         u=np.exp(log_u), v=np.exp(log_v), f=f, g=g, iterations=int(iters)
     )

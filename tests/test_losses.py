@@ -19,7 +19,7 @@ from otalign.losses import (
     rince_proximal_form,
 )
 from otalign.plans import PlanError, block_domain_plan
-from otalign.solver import SolverError, SolverOptions, default_marginals, sinkhorn
+from otalign.solver import SolverError, SolverOptions, sinkhorn
 from otalign.uot import UotOptions, _solve_scalings
 
 
@@ -225,13 +225,18 @@ def test_gca_ince_builds_its_cost_once(rng, monkeypatch):
 @pytest.mark.parametrize("loss_id", ["gca-ince", "gca-rince", "gca-uot"])
 def test_gca_losses_build_the_cost_only_when_absorption_fires(rng, monkeypatch, loss_id):
     # the kernel comes from one fused buffer; the cost is built for the first
-    # absorption only, which never fires at eps=0.5 and does at eps=0.05
+    # absorption only, which never fires at eps=0.5 and does at eps=0.05.  A
+    # dense target needs <T, C> as well, from the same single build; gca-rince
+    # reads only the target's diagonal
     Z1, Z2 = pair(rng, B=1024, d=32)
+    block = block_domain_plan(np.arange(1024) % 4, 0.5, 0.2)
     costs = count_calls(monkeypatch, "cosine_cost")
-    for eps, builds in ((0.5, 0), (0.05, 1)):
+    dense = 0 if loss_id == "gca-rince" else 1
+    for target, eps, builds in ((None, 0.5, 0), (None, 0.05, 1),
+                                (block, 0.5, dense), (block, 0.05, 1)):
         del costs[:]
-        LOSS_FUNCTIONS[loss_id](Z1, Z2, epsilon=eps)
-        assert len(costs) == builds, (eps, len(costs))
+        LOSS_FUNCTIONS[loss_id](Z1, Z2, epsilon=eps, target=target)
+        assert len(costs) == builds, (target is None, eps, len(costs))
 
 
 # ------------------------------------------- the formulas before fusion
@@ -391,7 +396,7 @@ def test_gca_uot_matches_dense_formula(rng, name):
     K = gibbs_kernel(cosine_cost(Z1, Z2), eps)
     opts = UotOptions(epsilon=eps, column_normalize=False)
     log_u, log_v, log_v_prev, _, _ = _solve_scalings(
-        K.matrix, K.cost, eps, default_marginals(len(Z1)), opts
+        K.matrix, K.cost, eps, np.ones(len(Z1)), np.ones(len(Z1)), opts
     )
     for key, want in (("log_u", log_u), ("log_v", log_v), ("log_v_prev", log_v_prev)):
         assert np.array_equal(res.frozen[key], want)
@@ -492,13 +497,15 @@ def test_gca_ince_forms_no_dense_plan(rng, monkeypatch):
 
 
 def test_gca_ince_rejects_a_target_that_does_not_fit(rng):
+    # every gca-* loss checks its target the same way
     Z1, Z2 = pair(rng)
-    with pytest.raises(LossError, match="does not fit"):
-        gca_ince_loss(Z1, Z2, target=np.eye(7))
     bad = np.eye(8)
     bad[0, 1] = -0.5
-    with pytest.raises(LossError, match="non-negative"):
-        gca_ince_loss(Z1, Z2, target=bad)
+    for fn in (gca_ince_loss, gca_rince_loss, gca_uot_loss):
+        with pytest.raises(LossError, match="does not fit"):
+            fn(Z1, Z2, target=np.eye(7))
+        with pytest.raises(LossError, match="non-negative"):
+            fn(Z1, Z2, target=bad)
 
 
 @pytest.mark.parametrize("fn", [

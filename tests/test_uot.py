@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from otalign.kernel import cosine_cost, gibbs_kernel, normalize_rows
+from otalign.losses import gca_uot_loss
 from otalign.solver import Marginals, SolverError, SolverOptions, default_marginals, sinkhorn
 from otalign.uot import UotOptions, generalized_kl, unbalanced_sinkhorn, uot_objective
 
@@ -74,6 +75,24 @@ def test_large_penalty_recovers_balanced(rng):
     plan_u, _ = unbalanced_sinkhorn(K, opts=opts)
     plan_b, _, _ = sinkhorn(K, opts=SolverOptions(max_iterations=50))
     assert np.max(np.abs(plan_u.matrix - plan_b.matrix)) < 1e-4
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.05])
+def test_infinite_penalty_is_the_balanced_solve(rng, epsilon):
+    # lambda = inf makes both exponents one: the balanced Sinkhorn update,
+    # through absorption too at the smaller epsilon
+    Z1 = normalize_rows(rng.standard_normal((64, 8)))
+    Z2 = normalize_rows(rng.standard_normal((64, 8)))
+    K = gibbs_kernel(cosine_cost(Z1, Z2), epsilon)
+    for n in (1, 5, 30):
+        opts = UotOptions(lambda1=np.inf, lambda2=np.inf, epsilon=epsilon, iterations=n)
+        plan_u, state_u = unbalanced_sinkhorn(K, opts=opts)
+        plan_b, state_b, _ = sinkhorn(K, opts=SolverOptions(max_iterations=n))
+        assert state_u.iterations == state_b.iterations == n
+        assert np.max(np.abs(plan_u.matrix - plan_b.matrix)) <= 1e-12 * np.max(plan_b.matrix)
+    res = gca_uot_loss(Z1, Z2, epsilon=epsilon, lambda1=np.inf, lambda2=np.inf)
+    assert np.isfinite(res.value)
+    assert np.all(np.isfinite(res.grad_z1)) and np.all(np.isfinite(res.grad_z2))
 
 
 def test_column_normalization_exact(rng):
