@@ -14,10 +14,10 @@ from typing import Callable
 import numpy as np
 
 from . import _backends
-from .kernel import cosine_cost, cosine_kernel, gibbs_kernel
+from .kernel import cosine_cost, cosine_kernel
 from .plans import check_batch_size
 from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel
-from .uot import UotOptions, _solve_scalings
+from .uot import UotOptions, _solve_scalings, generalized_kl
 
 
 class LossError(Exception):
@@ -53,18 +53,23 @@ def _check_batch(Z1, Z2):
     return Z1, Z2
 
 
-def _check_target(target, B):
-    T = np.asarray(target, dtype=np.float64)
-    if T.shape != (B, B):
-        raise LossError(f"target of shape {T.shape} does not fit a batch of {B}")
-    if np.any(T < 0):
-        raise LossError("target must be non-negative")
-    return T
-
-
-def _cost_builder(Z1, Z2):
-    """A function that builds the cosine cost on its first call and returns
-    that array on every later one: the scaling loop and <T, C> share it."""
+def _gca_batch(Z1, Z2, epsilon, target):
+    """The gca-* prologue: (Z1, Z2, T, K, diag C, cost), T None for the
+    identity target.  ``cost`` builds the cosine cost on its first call
+    and returns it on later ones: the loop's first absorption and <T, C>
+    share one build."""
+    Z1, Z2 = _check_batch(Z1, Z2)
+    B = Z1.shape[0]
+    if target is None:
+        check_batch_size(B)
+        T = None
+    else:
+        T = np.asarray(target, dtype=np.float64)
+        if T.shape != (B, B):
+            raise LossError(f"target of shape {T.shape} does not fit a batch of {B}")
+        if np.any(T < 0):
+            raise LossError("target must be non-negative")
+    K, c_diag = cosine_kernel(Z1, Z2, epsilon)
     built = []
 
     def cost():
@@ -72,7 +77,66 @@ def _cost_builder(Z1, Z2):
             built.append(cosine_cost(Z1, Z2))
         return built[0]
 
-    return cost
+    return Z1, Z2, T, K, c_diag, cost
+
+
+def _balanced_sweeps(K, cost, epsilon, n):
+    """n balanced Sinkhorn iterations from v = 1 with unit marginals:
+    (f, g, g_prev), g_prev being the column potential entering the last."""
+    check_kernel(K)
+    opts = SolverOptions(max_iterations=n)
+    ones = np.ones(K.shape[0])
+    f, g, g_prev, _, _, iters = _backends.sinkhorn_core(
+        K, cost, ones, ones, epsilon,
+        opts.max_iterations, opts.absorption_threshold, opts.floor,
+    )
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+        raise SolverError(f"overflow despite absorption at iteration {iters}")
+    return f, g, g_prev
+
+
+def _through_kernel(K, a, b, Z1, Z2):
+    """P @ Z2 and P' @ Z1 for P = diag(a) K diag(b), without forming P."""
+    return a[:, None] * (K @ (b[:, None] * Z2)), b[:, None] * (K.T @ (a[:, None] * Z1))
+
+
+def _plan_kl(K, log_u, log_v, c_diag, epsilon, T, cost, Z1, Z2, ck, col=None,
+             normalize=False):
+    """KL(T || P) for P = diag(u) K diag(v) from its log scalings, with
+    log P_ij = log u_i + log v_j - C_ij / eps, so P is never formed.
+
+    ``col`` holds P's column sums if the caller has them; with ``normalize``
+    the KL is to P with its columns rescaled to unit sums.  Returns (kl, grad_z1,
+    grad_z2, pull, u) with grad_z1 = ck (P @ Z2 - T @ Z2), except that an
+    identity target's -ck Z2 is left to the caller as the diagonal weight
+    ``pull`` (0 for a dense target), and u = exp(log_u).
+    """
+    u = np.exp(log_u)
+    v = np.exp(log_v)
+    if col is None:
+        col = v * (K.T @ u)
+    B = K.shape[0]
+    if T is None:
+        c = np.ones(B) if normalize else None
+        t_log_t = 0.0
+        t_log_p = float((log_u + log_v).sum() - c_diag.sum() / epsilon)
+        t_mass = float(B)
+    else:
+        c = T.sum(axis=0)
+        t_log_t = float(np.sum(T * np.log(np.where(T > 0, T, 1.0))))
+        t_log_p = float(T.sum(axis=1) @ log_u + c @ log_v - np.vdot(T, cost()) / epsilon)
+        t_mass = float(c.sum())
+    if normalize:
+        kl = t_log_t - t_log_p + float(c @ np.log(col)) - t_mass + B
+        v *= c / col  # its gradient weighs P's columns by c / col
+    else:
+        kl = t_log_t - t_log_p - t_mass + float(col.sum())
+    grad_z1, grad_z2 = _through_kernel(K, ck * u, v, Z1, Z2)
+    if T is None:
+        return kl, grad_z1, grad_z2, ck, u
+    grad_z1 -= ck * (T @ Z2)
+    grad_z2 -= ck * (T.T @ Z1)
+    return kl, grad_z1, grad_z2, 0.0, u
 
 
 def _check_finite(value, grad_z1, grad_z2):
@@ -101,10 +165,7 @@ def kl_plan_divergence(target, P, floor=1e-300):
         raise LossError("plans must be non-negative")
     if np.any((target > 0) & (P <= 0)):
         raise LossError("target puts mass where the plan is zero")
-    mask = target > 0
-    term = np.zeros_like(target)
-    term[mask] = target[mask] * (np.log(target[mask]) - np.log(np.maximum(P[mask], floor)))
-    return float(term.sum() - target.sum() + P.sum())
+    return generalized_kl(target, P, floor)
 
 
 def ince_loss(Z1, Z2, epsilon=0.5):
@@ -139,55 +200,31 @@ def gca_ince_loss(Z1, Z2, epsilon=0.5, n_iters=5, target=None, half_step=False,
     row-stochastic and the identity-target value coincides with
     ince_loss.  ``frozen`` reuses previously computed dual potentials
     instead of solving, making the loss a plain function of the
-    embeddings.
-
-    The plan P = diag(u) K diag(v) is never formed: its products with the
-    embeddings go through K, and the KL comes from the dual potentials,
-    log P_ij = (f_i + g_j - C_ij) / eps.  ``plan`` on the result rebuilds
-    it on first read.
+    embeddings.  The plan is never formed (``_plan_kl``); ``plan`` on
+    the result rebuilds it on first read.
     """
-    Z1, Z2 = _check_batch(Z1, Z2)
-    B = Z1.shape[0]
-    if target is None:
-        check_batch_size(B)
-    else:
-        T = _check_target(target, B)
-    Km, c_diag = cosine_kernel(Z1, Z2, epsilon)
-    cost = _cost_builder(Z1, Z2)
+    Z1, Z2, T, K, c_diag, cost = _gca_batch(Z1, Z2, epsilon, target)
     if frozen is not None:
         f, g = frozen["f"], frozen["g"]
     else:
-        check_kernel(Km)
-        opts = SolverOptions(max_iterations=n_iters)
-        f, g, g_prev, _, _, iters = _backends.sinkhorn_core(
-            Km, cost, np.ones(B), np.ones(B), epsilon,
-            opts.max_iterations, opts.absorption_threshold, opts.floor,
-        )
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-            raise SolverError(f"overflow despite absorption at iteration {iters}")
+        f, g, g_prev = _balanced_sweeps(K, cost, epsilon, n_iters)
         if half_step:
             # half-step 2n-1, the final row update: f is final, g enters it
             g = g_prev
-    # P = diag(u) K diag(v) with u = e^{(f-c)/eps}, v = e^{(g+c)/eps}; the
-    # gauge shift c keeps both factors in range, as in dual_objectives
+    # log u = (f - c)/eps, log v = (g + c)/eps; the gauge shift c keeps
+    # both scalings in range, as in dual_objectives
     c = (np.max(f) - np.max(g)) / 2
-    u = np.exp((f - c) / epsilon)
-    v = np.exp((g + c) / epsilon)
-    # KL(T || P) = sum t log t - sum t log P - sum T + sum P
-    if target is None:
-        t_log_t = 0.0
-        t_log_p = float(np.sum(f + g) - np.sum(c_diag)) / epsilon
-        t_mass = float(B)
-        TZ2, TtZ1 = Z2, Z1
-    else:
-        t_log_t = float(np.sum(T * np.log(np.where(T > 0, T, 1.0))))
-        t_cost = np.vdot(T, cost())
-        t_log_p = float(T.sum(axis=1) @ f + T.sum(axis=0) @ g - t_cost) / epsilon
-        t_mass = float(T.sum())
-        TZ2, TtZ1 = T @ Z2, T.T @ Z1
-    value = t_log_t - t_log_p - t_mass + float(u @ (Km @ v))
-    grad_z1 = (u[:, None] * (Km @ (v[:, None] * Z2)) - TZ2) / epsilon
-    grad_z2 = (v[:, None] * (Km.T @ (u[:, None] * Z1)) - TtZ1) / epsilon
+    # ck = 1 and one division by eps at the end: 1/eps folded into the row
+    # scale would move the gradients by up to 5e-13 of their largest entry
+    # where attraction and repulsion cancel
+    value, grad_z1, grad_z2, pull, _ = _plan_kl(
+        K, (f - c) / epsilon, (g + c) / epsilon, c_diag, epsilon, T, cost, Z1, Z2, 1.0
+    )
+    if T is None:
+        grad_z1 -= pull * Z2
+        grad_z2 -= pull * Z1
+    grad_z1 /= epsilon
+    grad_z2 /= epsilon
     _check_finite(value, grad_z1, grad_z2)
     return LossResult(
         value=value,
@@ -256,39 +293,28 @@ def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
     term contributes the repulsive part.  One sweep with an identity
     target reduces to the proximal form.
     """
-    Z1, Z2 = _check_batch(Z1, Z2)
     _check_rince(q, lam)
-    B = Z1.shape[0]
-    if target is None:
-        check_batch_size(B)
-        t_diag = np.ones(B)
-    else:
-        t_diag = np.diagonal(_check_target(target, B))
-    Km, _ = cosine_kernel(Z1, Z2, epsilon)
+    Z1, Z2, T, K, _, cost = _gca_batch(Z1, Z2, epsilon, target)
     if frozen is not None:
         v_prev = frozen["v_prev"]
     elif n_iters >= 2:
-        check_kernel(Km)
-        opts = SolverOptions(max_iterations=n_iters - 1)
-        _, g, *_ = _backends.sinkhorn_core(
-            Km, lambda: cosine_cost(Z1, Z2), np.ones(B), np.ones(B), epsilon,
-            opts.max_iterations, opts.absorption_threshold, opts.floor,
-        )
+        _, g, _ = _balanced_sweeps(K, cost, epsilon, n_iters - 1)
         v_prev = np.exp(g / epsilon)
         if not np.all(np.isfinite(v_prev)):
             raise SolverError(f"overflow despite absorption at iteration {n_iters - 1}")
     else:
-        v_prev = np.ones(B)
-    Kv = Km @ v_prev
-    pos = (np.diagonal(Km) * v_prev) ** q
+        v_prev = np.ones(K.shape[0])
+    Kv = K @ v_prev
+    pos = (np.diagonal(K) * v_prev) ** q
+    t_diag = 1.0 if T is None else np.diagonal(T)
     neg = (lam * t_diag * Kv) ** q if lam > 0 else np.zeros_like(pos)
     value = float(np.sum(neg - pos) / q)
     # -d(value)/dC = (a_i K_ij v_j - pos_i [i == j]) / eps with a = neg / (K v):
     # repulsion through K v, attraction on the diagonal
-    a = neg / np.maximum(Kv, 1e-300)
+    PZ2, PtZ1 = _through_kernel(K, neg / np.maximum(Kv, 1e-300), v_prev, Z1, Z2)
     d = pos / epsilon
-    grad_z1 = a[:, None] * (Km @ (v_prev[:, None] * Z2)) / epsilon - d[:, None] * Z2
-    grad_z2 = v_prev[:, None] * (Km.T @ (a[:, None] * Z1)) / epsilon - d[:, None] * Z1
+    grad_z1 = PZ2 / epsilon - d[:, None] * Z2
+    grad_z2 = PtZ1 / epsilon - d[:, None] * Z1
     _check_finite(value, grad_z1, grad_z2)
     return LossResult(value=value, grad_z1=grad_z1, grad_z2=grad_z2,
                       frozen={"v_prev": v_prev})
@@ -312,26 +338,14 @@ def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
     term reuses the unbalanced scalings; with weight 1, a single sweep
     and large penalties it approaches the proximal form of the robust
     loss, and with weight 0 and large penalties it approaches the
-    balanced KL loss.
-
-    The plan diag(u) K diag(v) (columns rescaled to unit sums when
-    ``column_normalize`` is set) is never formed: its products with the
-    embeddings go through K, and the KL term comes from the log scalings,
-    log P_ij = log u_i + log v_j - C_ij / eps.  ``plan`` on the result
-    rebuilds it on first read.
+    balanced KL loss.  The plan is never formed (``_plan_kl``); ``plan``
+    on the result rebuilds it, columns rescaled to unit sums when
+    ``column_normalize`` is set.
     """
-    Z1, Z2 = _check_batch(Z1, Z2)
     _check_rince(q, lam)
     if not (0.0 <= weight <= 1.0):
         raise LossError("weight must lie in [0, 1]")
-    B = Z1.shape[0]
-    if target is None:
-        check_batch_size(B)
-    else:
-        T = _check_target(target, B)
-    Km, c_diag = cosine_kernel(Z1, Z2, epsilon)
-    cost = _cost_builder(Z1, Z2)
-    ones = np.ones(B)
+    Z1, Z2, T, K, c_diag, cost = _gca_batch(Z1, Z2, epsilon, target)
     # an underflowing kernel or overflowing scalings are reported by the
     # output check below, not by numpy's warnings on the way there; ufuncs
     # that ignore every floating-point error also skip reading the flags
@@ -340,50 +354,24 @@ def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
             log_u, log_v, log_v_prev = frozen["log_u"], frozen["log_v"], frozen["log_v_prev"]
             col = None
         else:
+            ones = np.ones(K.shape[0])
             log_u, log_v, log_v_prev, col, _ = _solve_scalings(
-                Km, cost, epsilon, ones, ones, _uot_options(lambda1, lambda2, epsilon, n_iters)
+                K, cost, epsilon, ones, ones, _uot_options(lambda1, lambda2, epsilon, n_iters)
             )
-        u = np.exp(log_u)
-        v = np.exp(log_v)
-        if col is None:
-            col = v * (Km.T @ u)
-        # KL(T || P) needs from the target only its column sums, its diagonal,
-        # sum t log t, sum t log P and the products T @ Z2, T' @ Z1
-        if target is None:
-            c = ones
-            t_diag = 1.0
-            t_log_t = 0.0
-            t_log_p = float((log_u + log_v).sum() - c_diag.sum() / epsilon)
-            t_mass = float(B)
-        else:
-            c = T.sum(axis=0)
-            t_diag = np.diagonal(T)
-            t_log_t = float(np.sum(T * np.log(np.where(T > 0, T, 1.0))))
-            t_cost = np.vdot(T, cost())
-            t_log_p = float(T.sum(axis=1) @ log_u + c @ log_v - t_cost / epsilon)
-            t_mass = float(c.sum())
-        if column_normalize:
-            kl = t_log_t - t_log_p + float(c @ np.log(col)) - t_mass + B
-            vw = v * (c / col)  # v times the column weights of Pw = P diag(c / col)
-        else:
-            kl = t_log_t - t_log_p - t_mass + float(col.sum())
-            vw = v
-        pos = np.power(Km.diagonal() * np.exp(log_v_prev), q)
+        # the KL term enters -d(value)/dC as ck (P - T), ck = (1 - weight) / eps
+        ck = (1.0 - weight) / epsilon
+        kl, grad_z1, grad_z2, pull, u = _plan_kl(
+            K, log_u, log_v, c_diag, epsilon, T, cost, Z1, Z2, ck, col, column_normalize
+        )
+        pos = np.power(K.diagonal() * np.exp(log_v_prev), q)
+        t_diag = 1.0 if T is None else np.diagonal(T)
         neg = np.power(lam * t_diag / u, q) if lam > 0 else np.zeros_like(pos)
         robust = float((neg - pos).sum() / q)
         value = weight * robust + (1.0 - weight) * kl
-        # -d(value)/dC_ij = ck u_i K_ij vw_j - ck t_ij - d_i [i == j] with
-        # ck = (1 - weight) / eps and d = weight * pos / eps
-        ck = (1.0 - weight) / epsilon
-        a = ck * u
+        # the robust pull d = weight * pos / eps acts on the diagonal, with
+        # an identity target's KL pull
         d = pos * (weight / epsilon)
-        grad_z1 = a[:, None] * (Km @ (vw[:, None] * Z2))
-        grad_z2 = vw[:, None] * (Km.T @ (a[:, None] * Z1))
-        if target is None:
-            d += ck  # T = I: the KL pull joins the robust pull on the diagonal
-        else:
-            grad_z1 -= ck * (T @ Z2)
-            grad_z2 -= ck * (T.T @ Z1)
+        d += pull
         grad_z1 -= d[:, None] * Z2
         grad_z2 -= d[:, None] * Z1
     if not (np.isfinite(value) and np.isfinite(grad_z1).all() and np.isfinite(grad_z2).all()):
@@ -392,8 +380,10 @@ def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
         )
 
     def make_plan():
-        P = u[:, None] * gibbs_kernel(cosine_cost(Z1, Z2), epsilon).matrix * v[None, :]
-        return P / P.sum(axis=0)[None, :] if column_normalize else P
+        P = _gibbs_plan(epsilon * log_u, epsilon * log_v, cosine_cost(Z1, Z2), epsilon)
+        if column_normalize:
+            P /= P.sum(axis=0)[None, :]
+        return P
 
     return LossResult(
         value=value,

@@ -34,11 +34,15 @@ def check_iteration_count(n):
 
 
 def check_marginals(shape, mu, nu):
-    """Raise SolverError unless mu and nu are vectors sized to the kernel's sides."""
+    """Raise SolverError unless mu and nu are vectors sized to the kernel's
+    sides with positive, finite entries."""
     if mu.shape != (shape[0],) or nu.shape != (shape[1],):
         raise SolverError(
             f"marginals of sizes {mu.shape} and {nu.shape} do not fit a {shape[0]}x{shape[1]} kernel"
         )
+    # NaN fails both comparisons
+    if not (np.all((mu > 0) & (mu < np.inf)) and np.all((nu > 0) & (nu < np.inf))):
+        raise SolverError("marginal entries must be positive and finite")
 
 
 def check_square(shape):

@@ -5,7 +5,7 @@ loss from the losses module on augmented vector pairs, then evaluated
 with a linear probe on frozen representations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -310,17 +310,7 @@ def domain_alignment_experiment(alpha_values, beta, dataset, cfg=None,
     cfg = cfg or TrainConfig(loss="gca-ince")
     rows = []
     for alpha in alpha_values:
-        run_cfg = TrainConfig(
-            loss="gca-ince",
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            lr=cfg.lr,
-            seed=cfg.seed,
-            epsilon=cfg.epsilon,
-            alpha=float(alpha),
-            beta=float(beta),
-            loss_kwargs=cfg.loss_kwargs,
-        )
+        run_cfg = replace(cfg, loss="gca-ince", alpha=float(alpha), beta=float(beta))
         enc, _ = train_encoder(dataset, run_cfg, aug_cfg)
         H = encoder_representation(enc, dataset.points)
         rows.append(

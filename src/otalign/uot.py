@@ -10,6 +10,7 @@ from .solver import (
     ScalingState,
     SolverError,
     TransportPlan,
+    _gibbs_plan,
     check_iteration_count,
     check_marginals,
     check_square,
@@ -88,12 +89,12 @@ def unbalanced_sinkhorn(K: GibbsKernel, marginals=None, opts=None):
         raise SolverError("overflow despite absorption in unbalanced solve")
     f = K.epsilon * log_u
     g = K.epsilon * log_v
-    P = np.exp(log_u[:, None] + log_v[None, :] - K.cost / K.epsilon)
+    P = _gibbs_plan(f, g, K.cost, K.epsilon)
     if opts.column_normalize:
         csum = P.sum(axis=0)
         if np.any(csum <= 0):
             raise SolverError("zero column sum before normalization")
-        P = P * (nu / csum)[None, :]
+        P *= (nu / csum)[None, :]
     rr, cr = marginal_error(P, marginals)
     state = ScalingState(
         u=np.exp(log_u), v=np.exp(log_v), f=f, g=g, iterations=int(iters)

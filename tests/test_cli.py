@@ -145,6 +145,14 @@ def test_solve_custom_marginals(cost_file, tmp_path):
     assert np.allclose(P.sum(axis=0), [1.0, 3.0], atol=1e-7)
 
 
+@pytest.mark.parametrize("command", ["solve", "uot"])
+def test_solve_rejects_a_zero_marginal_entry(cost_file, tmp_path, capsys, command):
+    mu = tmp_path / "mu.csv"
+    mu.write_text("0\n1\n")
+    assert main([command, cost_file, "--mu", str(mu)]) == 2
+    assert "marginal entries must be positive and finite" in capsys.readouterr().err
+
+
 def test_uot_roundtrip(cost_file, tmp_path, capsys):
     out = str(tmp_path / "plan.csv")
     assert main(["uot", cost_file, "--lambda1", "10", "--lambda2", "10", "--out", out]) == 0

@@ -183,6 +183,22 @@ def test_gca_uot_weight_limits(rng):
     assert np.isclose(vh, 0.5 * (v0 + v1), atol=1e-10)
 
 
+@pytest.mark.parametrize("B, d, eps", [(32, 8, 0.5), (1024, 32, 0.05)])
+def test_gca_uot_at_infinite_penalties_is_gca_ince(rng, B, d, eps):
+    # balanced Sinkhorn is the lambda = inf case of the unbalanced update, so
+    # gca-uot's KL term alone (weight 0, columns as solved) is gca-ince; the
+    # second case absorbs
+    Z1, Z2 = pair(rng, B=B, d=d)
+    block = block_domain_plan(np.arange(B) % 4, 0.5, 0.2)
+    for target in (None, block):
+        uot = gca_uot_loss(Z1, Z2, epsilon=eps, lambda1=np.inf, lambda2=np.inf, weight=0.0,
+                           column_normalize=False, target=target)
+        ince = gca_ince_loss(Z1, Z2, epsilon=eps, target=target)
+        assert abs(uot.value - ince.value) <= 1e-12 * abs(ince.value)
+        for got, want in ((uot.grad_z1, ince.grad_z1), (uot.grad_z2, ince.grad_z2)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_gca_ince_custom_target(rng):
     Z1, Z2 = pair(rng)
     tgt = block_domain_plan([0, 0, 1, 1, 2, 2, 3, 3], 0.5, 0.0)

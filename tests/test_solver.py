@@ -17,6 +17,7 @@ from otalign.solver import (
     project_rows,
     sinkhorn,
 )
+from otalign.uot import unbalanced_sinkhorn
 
 
 def kernel_from(matrix, epsilon=1.0):
@@ -254,6 +255,19 @@ def test_sinkhorn_rejects_marginals_of_the_wrong_size(rng, mu_size, nu_size):
     m = Marginals(mu=np.ones(mu_size), nu=np.ones(nu_size))
     with pytest.raises(SolverError, match="do not fit"):
         sinkhorn(K, m)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("side", ["mu", "nu"])
+@pytest.mark.parametrize("solve", [sinkhorn, unbalanced_sinkhorn])
+def test_solvers_reject_marginal_entries_that_are_not_positive_and_finite(rng, bad, side, solve):
+    # a bad entry fails at the check, never as an overflow after numpy warnings
+    K = random_kernel(rng, B=8)
+    vec = np.ones(8)
+    vec[3] = bad
+    m = Marginals(mu=vec, nu=np.ones(8)) if side == "mu" else Marginals(mu=np.ones(8), nu=vec)
+    with pytest.raises(SolverError, match="marginal entries must be positive and finite"):
+        solve(K, m)
 
 
 def test_sinkhorn_rejects_a_rectangular_kernel(rng):
