@@ -1,5 +1,6 @@
 """Optimal-transport contrastive alignment toolkit."""
 
+from .errors import OtalignError
 from .kernel import (
     GibbsKernel,
     KernelError,

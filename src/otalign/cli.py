@@ -10,10 +10,10 @@ import sys
 
 import numpy as np
 
-from .kernel import KernelError, cosine_cost, gibbs_kernel, normalize_rows
+from .errors import OtalignError
+from .kernel import cosine_cost, gibbs_kernel, normalize_rows
 from .losses import (
     LOSS_FUNCTIONS,
-    LossError,
     gca_ince_loss,
     gca_rince_loss,
     ince_loss,
@@ -22,7 +22,6 @@ from .losses import (
     rince_proximal_form,
 )
 from .matio import (
-    MatrixIOError,
     append_metrics_jsonl,
     read_matrix_bin,
     read_matrix_csv,
@@ -30,10 +29,9 @@ from .matio import (
     write_matrix_csv,
 )
 from .metrics import kl_via_duals
-from .plans import PlanError, block_domain_plan
+from .plans import block_domain_plan
 from .solver import (
     Marginals,
-    SolverError,
     SolverOptions,
     default_marginals,
     dual_objective,
@@ -43,7 +41,6 @@ from .solver import (
 from .train import (
     AugmentConfig,
     TrainConfig,
-    TrainError,
     domain_alignment_experiment,
     gen_blobs,
     linear_probe,
@@ -406,13 +403,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (MatrixIOError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (KernelError, SolverError, LossError, PlanError, TrainError) as e:
+    except (UsageError, OtalignError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

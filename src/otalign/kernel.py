@@ -4,8 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OtalignError
 
-class KernelError(Exception):
+
+class KernelError(OtalignError):
     pass
 
 

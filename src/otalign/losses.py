@@ -14,13 +14,14 @@ from typing import Callable
 import numpy as np
 
 from . import _backends
+from .errors import OtalignError
 from .kernel import cosine_cost, cosine_kernel
 from .plans import check_batch_size
 from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel
 from .uot import UotOptions, _solve_scalings, generalized_kl
 
 
-class LossError(Exception):
+class LossError(OtalignError):
     pass
 
 

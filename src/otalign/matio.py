@@ -11,6 +11,8 @@ import struct
 
 import numpy as np
 
+from .errors import OtalignError
+
 MAGIC = b"GCAM"
 VERSION = 1
 
@@ -40,7 +42,7 @@ METRIC_REGISTRY = frozenset(
 )
 
 
-class MatrixIOError(Exception):
+class MatrixIOError(OtalignError):
     """Raised for malformed matrix files or records."""
 
 
@@ -48,25 +50,35 @@ def read_matrix_csv(path):
     """Parse a rectangular headerless numeric CSV into a 2-D float array."""
     rows = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
+    # undecodable bytes come through as lone surrogates, so that they are
+    # reported with their row rather than as a decoding error of the file
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for i, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+                raise MatrixIOError(f"non-ASCII byte 0x{byte:02x} at row {i + 1}")
             fields = line.split(",")
             if width is None:
                 width = len(fields)
             elif len(fields) != width:
                 raise MatrixIOError(f"ragged row {i + 1}: expected {width} columns, got {len(fields)}")
-            parsed = []
-            for j, tok in enumerate(fields):
-                try:
-                    val = float(tok)
-                except ValueError:
-                    raise MatrixIOError(f"parse error at row {i + 1}, column {j + 1}: {tok!r}") from None
-                if not np.isfinite(val):
-                    raise MatrixIOError(f"non-finite value at row {i + 1}, column {j + 1}")
-                parsed.append(val)
+            # one float map and one finiteness check per row; a failing row
+            # is rescanned token by token for the first bad position
+            try:
+                parsed = np.array(list(map(float, fields)))
+            except ValueError:
+                parsed = None
+            if parsed is None or not np.isfinite(parsed).all():
+                for j, tok in enumerate(fields):
+                    try:
+                        val = float(tok)
+                    except ValueError:
+                        raise MatrixIOError(f"parse error at row {i + 1}, column {j + 1}: {tok!r}") from None
+                    if not np.isfinite(val):
+                        raise MatrixIOError(f"non-finite value at row {i + 1}, column {j + 1}")
             rows.append(parsed)
     if not rows:
         raise MatrixIOError(f"empty matrix file: {path}")
@@ -79,13 +91,14 @@ def write_matrix_csv(matrix, path):
         raise MatrixIOError("expected a 2-D matrix")
     if not np.all(np.isfinite(matrix)):
         raise MatrixIOError("refusing to write non-finite values")
-    with open(path, "w", encoding="ascii") as fh:
-        # Python floats format faster than numpy scalars, to the same bytes;
-        # one row at a time, because a whole-matrix list of floats costs tens
-        # of megabytes of resident set on a 1024 x 1024 plan
+    # one format string for every row, applied to a row's Python floats
+    # (which format faster than numpy scalars, to the same bytes); one row
+    # at a time, because a whole-matrix list of floats costs tens of
+    # megabytes of resident set on a 1024 x 1024 plan
+    row_fmt = (",".join(["%.17g"] * matrix.shape[1]) + "\n").encode("ascii")
+    with open(path, "wb") as fh:
         for row in matrix:
-            fh.write(",".join(["%.17g" % x for x in row.tolist()]))
-            fh.write("\n")
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
 def read_matrix_bin(path):

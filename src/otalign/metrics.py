@@ -2,8 +2,10 @@
 
 import numpy as np
 
+from .errors import OtalignError
 
-class MetricError(Exception):
+
+class MetricError(OtalignError):
     pass
 
 

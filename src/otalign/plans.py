@@ -2,8 +2,10 @@
 
 import numpy as np
 
+from .errors import OtalignError
 
-class PlanError(Exception):
+
+class PlanError(OtalignError):
     pass
 
 

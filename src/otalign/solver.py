@@ -6,13 +6,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _backends
+from .errors import OtalignError
 from .kernel import GibbsKernel
 
 DUAL_BLOCK_ELEMENTS = 1 << 16  # float64 entries per block in dual_objective
 DUAL_CHUNK_ROWS = 8  # half-steps per product with K in dual_objectives
 
 
-class SolverError(Exception):
+class SolverError(OtalignError):
     pass
 
 

@@ -9,13 +9,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import OtalignError
 from .kernel import normalize_rows
 from .losses import LOSS_FUNCTIONS, LossError
 from .metrics import alignment_loss, uniformity_loss
 from .plans import block_domain_plan
 
 
-class TrainError(Exception):
+class TrainError(OtalignError):
     pass
 
 

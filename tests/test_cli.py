@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from otalign import cli
 from otalign.cli import main
 from otalign.matio import read_matrix_bin, read_matrix_csv, write_matrix_csv
+from otalign.metrics import MetricError
 
 
 @pytest.fixture
@@ -130,6 +132,28 @@ def test_solve_ragged_input(tmp_path, capsys):
     p.write_text("0,1\n1\n")
     assert main(["solve", str(p)]) == 2
     assert "ragged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"\xef\xbb\xbf0,1\n1,0\n", "non-ASCII byte 0xef at row 1"),  # a UTF-8 byte-order mark
+    (b"0,1\n1,\xff\n", "non-ASCII byte 0xff at row 2"),
+])
+def test_solve_non_ascii_input(tmp_path, capsys, raw, message):
+    p = tmp_path / "c.csv"
+    p.write_bytes(raw)
+    assert main(["solve", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_every_typed_error_exits_2(cost_file, monkeypatch, capsys):
+    # MetricError was listed in none of main's except clauses before they
+    # became one clause on the common base
+    def fail(args):
+        raise MetricError("no metric")
+
+    monkeypatch.setattr(cli, "cmd_solve", fail)
+    assert main(["solve", cost_file]) == 2
+    assert capsys.readouterr().err == "error: no metric\n"
 
 
 def test_solve_custom_marginals(cost_file, tmp_path):

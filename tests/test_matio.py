@@ -1,10 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from otalign.kernel import cosine_cost, gibbs_kernel, normalize_rows
 from otalign.matio import (
     MatrixIOError,
     append_metrics_jsonl,
@@ -13,6 +16,7 @@ from otalign.matio import (
     write_matrix_bin,
     write_matrix_csv,
 )
+from otalign.solver import SolverOptions, sinkhorn
 
 
 def test_csv_parse_basic(tmp_path):
@@ -71,12 +75,25 @@ def _old_csv_bytes(matrix):
     return "".join(",".join("%.17g" % x for x in row) + "\n" for row in matrix).encode("ascii")
 
 
+def _tiny_entry_plan():
+    # a Sinkhorn plan at eps=0.05, whose entries span about twelve decades
+    rng = np.random.default_rng(5)
+    Z1 = normalize_rows(rng.standard_normal((64, 16)))
+    Z2 = normalize_rows(rng.standard_normal((64, 16)))
+    plan, _, _ = sinkhorn(gibbs_kernel(cosine_cost(Z1, Z2), 0.05), opts=SolverOptions(max_iterations=50))
+    return plan.matrix
+
+
 @pytest.mark.parametrize("matrix", [
     np.array([[-1.5, 0.0, -0.0, 2.0], [1e-300, -1e-300, 1e17, -1e17],
               [3.0, 12345678901234567.0, 5e-324, 1.7976931348623157e308]]),
     np.array([[0.1, -0.25, 1.0 / 3.0, 7.0, 2.0 ** 52 + 1.0]]),  # a 1 x N row
     np.arange(-6.0, 6.0).reshape(4, 3),  # exact integers
     np.random.default_rng(3).standard_normal((9, 17)) * 10.0 ** np.arange(-8, 9),
+    np.zeros((3, 0)),
+    np.zeros((0, 4)),
+    np.random.default_rng(4).standard_normal((1, 1024)),
+    _tiny_entry_plan(),
 ])
 def test_csv_bytes_match_per_element_formatter(tmp_path, matrix):
     p = tmp_path / "m.csv"
@@ -90,6 +107,65 @@ def test_csv_roundtrip_exact(tmp_path):
     p = tmp_path / "m.csv"
     write_matrix_csv(m, p)
     assert np.array_equal(read_matrix_csv(p), m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+))
+@example(np.array([[-0.0, 0.0, 5e-324, -2.2250738585072009e-308],
+                   [1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308, -5e-324]]))
+def test_csv_roundtrip_bit_exact_property(tmp_path_factory, m):
+    p = tmp_path_factory.mktemp("csv") / "m.csv"
+    write_matrix_csv(m, p)
+    back = read_matrix_csv(p)
+    assert back.shape == m.shape
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3,oops\n", "parse error at row 2, column 2: 'oops'"),
+    # the first bad value in row-major order wins, whatever its kind
+    ("1,inf\nx,2\n", "non-finite value at row 1, column 2"),
+    ("nan,oops\n", "non-finite value at row 1, column 1"),
+    ("oops,nan\n", "parse error at row 1, column 1: 'oops'"),
+    # rows are numbered by line, blank lines included
+    ("\n\n1,2\n\n3\n", "ragged row 5: expected 2 columns, got 1"),
+    # the width is checked before any value of the row is parsed
+    ("1,2\nx,y,z\n", "ragged row 2: expected 2 columns, got 3"),
+    ("1,2,\n", "parse error at row 1, column 3: ''"),
+    ("\n\n", "empty matrix file: {path}"),
+])
+def test_csv_read_error_messages(tmp_path, text, message):
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    message = message.format(path=p)
+    with pytest.raises(MatrixIOError, match=re.escape(message)) as err:
+        read_matrix_csv(p)
+    assert str(err.value) == message
+
+
+def test_csv_read_accepts_python_float_tokens(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("1, 1.5,1_000,1e-320,-0.0\n")
+    m = read_matrix_csv(p)
+    assert m.dtype == np.float64
+    assert m.tolist() == [[1.0, 1.5, 1000.0, 1e-320, 0.0]]
+    assert np.signbit(m[0, 4]) and not np.signbit(m[0, 0])
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"\xef\xbb\xbf1.0,2.0\n", "non-ASCII byte 0xef at row 1"),  # a UTF-8 byte-order mark
+    (b"1.0,2.0\n\n3.0,4\xff\n", "non-ASCII byte 0xff at row 3"),
+])
+def test_csv_non_ascii_byte_is_a_matrix_error(tmp_path, raw, message):
+    p = tmp_path / "m.csv"
+    p.write_bytes(raw)
+    with pytest.raises(MatrixIOError) as err:
+        read_matrix_csv(p)
+    assert str(err.value) == message
 
 
 def test_bin_roundtrip_bit_exact(tmp_path):
