@@ -142,26 +142,45 @@ class MlpEncoder:
         )
 
 
+def _rectified(X, W, b):
+    """max(X @ W + b, 0), computed in the product's own array."""
+    h = X @ W
+    h += b
+    np.maximum(h, 0.0, out=h)
+    return h
+
+
+def _hidden(enc, X):
+    """The two rectified layers (h1, h2) of a float64 batch."""
+    h1 = _rectified(X, enc.weights[0], enc.biases[0])
+    return h1, _rectified(h1, enc.weights[1], enc.biases[1])
+
+
+def _project(enc, h2):
+    """Projector outputs zp and their unit-normalized rows Z."""
+    zp = h2 @ enc.weights[2]
+    zp += enc.biases[2]
+    return zp, normalize_rows(zp)
+
+
 def encoder_forward(enc, X):
     """Forward pass; returns unit-normalized projector outputs and a
     cache holding every intermediate the backward pass needs."""
     X = np.asarray(X, dtype=np.float64)
-    a1 = X @ enc.weights[0] + enc.biases[0]
-    h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ enc.weights[1] + enc.biases[1]
-    h2 = np.maximum(a2, 0.0)
-    zp = h2 @ enc.weights[2] + enc.biases[2]
-    Z = normalize_rows(zp)
-    cache = {"X": X, "a1": a1, "h1": h1, "a2": a2, "h2": h2, "zp": zp, "Z": Z}
-    return Z, cache
+    h1, h2 = _hidden(enc, X)
+    zp, Z = _project(enc, h2)
+    return Z, {"X": X, "h1": h1, "h2": h2, "zp": zp, "Z": Z}
 
 
 def encoder_representation(enc, X):
     """Frozen features for probing: the 32-unit layer before the
     projector."""
-    X = np.asarray(X, dtype=np.float64)
-    h1 = np.maximum(X @ enc.weights[0] + enc.biases[0], 0.0)
-    return np.maximum(h1 @ enc.weights[1] + enc.biases[1], 0.0)
+    return _hidden(enc, np.asarray(X, dtype=np.float64))[1]
+
+
+def _embed(enc, X):
+    """Z of encoder_forward without the backward cache, for evaluation."""
+    return _project(enc, encoder_representation(enc, X))[1]
 
 
 def encoder_backward(enc, cache, grad_Z):
@@ -179,11 +198,12 @@ def encoder_backward(enc, cache, grad_Z):
     gW3 = cache["h2"].T @ gzp
     gb3 = gzp.sum(axis=0)
     gh2 = gzp @ enc.weights[2].T
-    ga2 = gh2 * (cache["a2"] > 0)
+    # h = max(a, 0), so h > 0 exactly where a > 0
+    ga2 = gh2 * (cache["h2"] > 0)
     gW2 = cache["h1"].T @ ga2
     gb2 = ga2.sum(axis=0)
     gh1 = ga2 @ enc.weights[1].T
-    ga1 = gh1 * (cache["a1"] > 0)
+    ga1 = gh1 * (cache["h1"] > 0)
     gW1 = cache["X"].T @ ga1
     gb1 = ga1.sum(axis=0)
     return [gW1, gW2, gW3], [gb1, gb2, gb3]
@@ -202,8 +222,8 @@ def _epoch_metrics(enc, dataset, cfg, aug_cfg, epoch, loss_value):
     rng = np.random.default_rng((cfg.seed, epoch, 0xEA))
     X1 = augment(dataset.points, aug_cfg, rng)
     X2 = augment(dataset.points, aug_cfg, rng)
-    Z1, _ = encoder_forward(enc, X1)
-    Z2, _ = encoder_forward(enc, X2)
+    Z1 = _embed(enc, X1)
+    Z2 = _embed(enc, X2)
     return {
         "epoch": epoch,
         "loss": float(loss_value),
@@ -262,8 +282,8 @@ def _eval_loss(enc, dataset, cfg, aug_cfg):
     X = dataset.points[idx]
     X1 = augment(X, aug_cfg, rng)
     X2 = augment(X, aug_cfg, rng)
-    Z1, _ = encoder_forward(enc, X1)
-    Z2, _ = encoder_forward(enc, X2)
+    Z1 = _embed(enc, X1)
+    Z2 = _embed(enc, X2)
     return _batch_loss(cfg, Z1, Z2, dataset.domain_labels[idx]).value
 
 

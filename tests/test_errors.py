@@ -24,15 +24,17 @@ def test_typed_errors_share_one_base(error):
 
 
 def test_non_finite_gca_losses_caught_by_one_type(unit_batch):
-    # a NaN target entry makes both values non-finite; gca-ince reports it
-    # as LossError and gca-uot as SolverError, and one clause catches both
+    # a NaN target entry is a LossError naming the target for every gca-*
+    # loss; a kernel that underflows makes gca-uot raise SolverError; one
+    # clause catches all three
     Z1, Z2 = unit_batch(16, 4), unit_batch(16, 4)
     T = np.eye(16)
     T[0, 1] = np.nan
     caught = []
-    for fn in (gca_ince_loss, gca_uot_loss):
+    for fn, kwargs in ((gca_ince_loss, {"target": T}), (gca_uot_loss, {"target": T}),
+                       (gca_uot_loss, {"epsilon": 1e-4})):
         try:
-            fn(Z1, Z2, target=T)
+            fn(Z1, Z2, **kwargs)
         except OtalignError as e:
             caught.append(type(e))
-    assert caught == [LossError, SolverError]
+    assert caught == [LossError, LossError, SolverError]

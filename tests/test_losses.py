@@ -524,6 +524,18 @@ def test_gca_ince_rejects_a_target_that_does_not_fit(rng):
             fn(Z1, Z2, target=bad)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+@pytest.mark.parametrize("fn", [gca_ince_loss, gca_rince_loss, gca_uot_loss])
+def test_gca_losses_reject_a_non_finite_target(rng, fn, entry):
+    # NaN passes a plain T < 0 test; the error must name the target, not
+    # the embeddings or the kernel
+    Z1, Z2 = pair(rng)
+    bad = np.eye(8)
+    bad[0, 1] = entry
+    with pytest.raises(LossError, match="target must be finite"):
+        fn(Z1, Z2, target=bad)
+
+
 @pytest.mark.parametrize("fn", [
     ince_loss,
     rince_loss,

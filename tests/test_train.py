@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from otalign.kernel import normalize_rows
 from otalign.train import (
     AugmentConfig,
     MlpEncoder,
     TrainConfig,
     TrainError,
+    _embed,
+    _epoch_metrics,
     augment,
     encoder_backward,
     encoder_forward,
@@ -107,6 +112,71 @@ def test_encoder_representation_matches_cache(rng):
     X = rng.standard_normal((6, 8))
     _, cache = encoder_forward(enc, X)
     assert np.allclose(encoder_representation(enc, X), cache["h2"])
+
+
+def reference_forward_backward(enc, X, G):
+    # the layers written out as separate arrays, the masks taken on the
+    # pre-activations a rather than on h = max(a, 0)
+    a1 = X @ enc.weights[0] + enc.biases[0]
+    h1 = np.maximum(a1, 0.0)
+    a2 = h1 @ enc.weights[1] + enc.biases[1]
+    h2 = np.maximum(a2, 0.0)
+    zp = h2 @ enc.weights[2] + enc.biases[2]
+    Z = normalize_rows(zp)
+    norms = np.linalg.norm(zp, axis=1, keepdims=True)
+    gzp = (G - np.sum(G * Z, axis=1, keepdims=True) * Z) / norms
+    ga2 = (gzp @ enc.weights[2].T) * (a2 > 0)
+    ga1 = (ga2 @ enc.weights[1].T) * (a1 > 0)
+    grads = [X.T @ ga1, h1.T @ ga2, h2.T @ gzp,
+             ga1.sum(axis=0), ga2.sum(axis=0), gzp.sum(axis=0)]
+    return a1, a2, h1, h2, Z, grads
+
+
+def test_encoder_paths_equal_the_written_out_layers(rng):
+    enc = MlpEncoder.init(8, seed=2)
+    enc.biases[0][:] = -np.abs(rng.standard_normal(64))
+    enc.biases[1][:] = rng.standard_normal(32)
+    enc.biases[2][:] = rng.standard_normal(16)
+    enc.biases[0][::4] = 0.0
+    enc.biases[1][::3] = 0.0
+    X = rng.standard_normal((12, 8))
+    # a1 = b1 <= 0 on the zero rows, so h1 = 0 there and a2 = b2: both
+    # layers see pre-activations that are exactly zero
+    X[:3] = 0.0
+    G = rng.standard_normal((12, 16))
+    a1, a2, h1, h2, Z, grads = reference_forward_backward(enc, X, G)
+    assert np.any(a1 == 0.0) and np.any(a2 == 0.0)
+    Zf, cache = encoder_forward(enc, X)
+    assert np.array_equal(Zf, Z)
+    assert np.array_equal(cache["h1"], h1)
+    assert np.array_equal(cache["h2"], h2)
+    gW, gb = encoder_backward(enc, cache, G)
+    for got, want in zip(gW + gb, grads):
+        assert np.array_equal(got, want)
+    assert np.array_equal(encoder_representation(enc, X), h2)
+    assert np.array_equal(_embed(enc, X), Z)
+    # the masks agree on signed zeros and NaN as well
+    a = np.array([-0.0, 0.0, np.nan, -1.0, 1.0, np.inf, -np.inf])
+    assert np.array_equal(np.maximum(a, 0.0) > 0, a > 0)
+
+
+def test_epoch_metrics_build_no_backward_cache():
+    ds = gen_blobs(4, 2, 16, 50)
+    n, d = ds.points.shape
+    enc = MlpEncoder.init(d, seed=0)
+    cfg, aug_cfg = TrainConfig(), AugmentConfig()
+    _epoch_metrics(enc, ds, cfg, aug_cfg, 1, 0.0)  # warm up
+    tracemalloc.start()
+    try:
+        _epoch_metrics(enc, ds, cfg, aug_cfg, 1, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the n x n uniformity buffer, both augmented views (n x d), both
+    # embeddings (n x 16), and room for one n x 64 hidden layer; a kept
+    # forward cache (X, h1, h2, zp, Z) alone would exceed that room
+    bound = 8 * (n * n + 2 * n * d + 2 * n * 16 + n * 64)
+    assert peak < bound, (peak, bound)
 
 
 def test_encoder_backward_finite_differences(rng):
