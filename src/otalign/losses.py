@@ -68,11 +68,9 @@ def _gca_batch(Z1, Z2, epsilon, target):
         T = np.asarray(target, dtype=np.float64)
         if T.shape != (B, B):
             raise LossError(f"target of shape {T.shape} does not fit a batch of {B}")
-        # one test for sign and finiteness (NaN fails T >= 0); only a
-        # failing target is scanned again, for the message
-        if not np.all((T >= 0) & (T < np.inf)):
-            if np.any(T < 0):
-                raise LossError("target must be non-negative")
+        if np.any(T < 0):
+            raise LossError("target must be non-negative")
+        if not np.isfinite(T).all():
             raise LossError("target must be finite: it has a NaN or inf entry")
     K, c_diag = cosine_kernel(Z1, Z2, epsilon)
     built = []

@@ -156,19 +156,14 @@ def _hidden(enc, X):
     return h1, _rectified(h1, enc.weights[1], enc.biases[1])
 
 
-def _project(enc, h2):
-    """Projector outputs zp and their unit-normalized rows Z."""
-    zp = h2 @ enc.weights[2]
-    zp += enc.biases[2]
-    return zp, normalize_rows(zp)
-
-
 def encoder_forward(enc, X):
     """Forward pass; returns unit-normalized projector outputs and a
     cache holding every intermediate the backward pass needs."""
     X = np.asarray(X, dtype=np.float64)
     h1, h2 = _hidden(enc, X)
-    zp, Z = _project(enc, h2)
+    zp = h2 @ enc.weights[2]
+    zp += enc.biases[2]
+    Z = normalize_rows(zp)
     return Z, {"X": X, "h1": h1, "h2": h2, "zp": zp, "Z": Z}
 
 
@@ -176,11 +171,6 @@ def encoder_representation(enc, X):
     """Frozen features for probing: the 32-unit layer before the
     projector."""
     return _hidden(enc, np.asarray(X, dtype=np.float64))[1]
-
-
-def _embed(enc, X):
-    """Z of encoder_forward without the backward cache, for evaluation."""
-    return _project(enc, encoder_representation(enc, X))[1]
 
 
 def encoder_backward(enc, cache, grad_Z):
@@ -222,8 +212,9 @@ def _epoch_metrics(enc, dataset, cfg, aug_cfg, epoch, loss_value):
     rng = np.random.default_rng((cfg.seed, epoch, 0xEA))
     X1 = augment(dataset.points, aug_cfg, rng)
     X2 = augment(dataset.points, aug_cfg, rng)
-    Z1 = _embed(enc, X1)
-    Z2 = _embed(enc, X2)
+    # keep only Z, so a view's cache is freed before the next is built
+    Z1 = encoder_forward(enc, X1)[0]
+    Z2 = encoder_forward(enc, X2)[0]
     return {
         "epoch": epoch,
         "loss": float(loss_value),
@@ -282,8 +273,8 @@ def _eval_loss(enc, dataset, cfg, aug_cfg):
     X = dataset.points[idx]
     X1 = augment(X, aug_cfg, rng)
     X2 = augment(X, aug_cfg, rng)
-    Z1 = _embed(enc, X1)
-    Z2 = _embed(enc, X2)
+    Z1 = encoder_forward(enc, X1)[0]
+    Z2 = encoder_forward(enc, X2)[0]
     return _batch_loss(cfg, Z1, Z2, dataset.domain_labels[idx]).value
 
 

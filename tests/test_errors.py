@@ -25,16 +25,19 @@ def test_typed_errors_share_one_base(error):
 
 def test_non_finite_gca_losses_caught_by_one_type(unit_batch):
     # a NaN target entry is a LossError naming the target for every gca-*
-    # loss; a kernel that underflows makes gca-uot raise SolverError; one
-    # clause catches all three
+    # loss; a kernel that underflows everywhere (B=64, d=8, eps=1e-4, as in
+    # test_gca_uot_kernel_underflow_raises) makes gca-uot raise
+    # SolverError; one clause catches all three
     Z1, Z2 = unit_batch(16, 4), unit_batch(16, 4)
     T = np.eye(16)
     T[0, 1] = np.nan
+    W1, W2 = unit_batch(64, 8), unit_batch(64, 8)
     caught = []
-    for fn, kwargs in ((gca_ince_loss, {"target": T}), (gca_uot_loss, {"target": T}),
-                       (gca_uot_loss, {"epsilon": 1e-4})):
+    for fn, args, kwargs in ((gca_ince_loss, (Z1, Z2), {"target": T}),
+                             (gca_uot_loss, (Z1, Z2), {"target": T}),
+                             (gca_uot_loss, (W1, W2), {"epsilon": 1e-4})):
         try:
-            fn(Z1, Z2, **kwargs)
+            fn(*args, **kwargs)
         except OtalignError as e:
             caught.append(type(e))
     assert caught == [LossError, LossError, SolverError]
