@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _backends
 from .errors import OtalignError
-from .kernel import cosine_cost, cosine_kernel
+from .kernel import check_epsilon, cosine_cost, cosine_kernel, scaled_similarity
 from .plans import check_batch_size
 from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel
 from .uot import UotOptions, _solve_scalings, generalized_kl
@@ -47,10 +47,16 @@ class LossResult:
 
 
 def _check_batch(Z1, Z2):
+    """Two float (B, d) batches of one shape, B >= 1, every entry finite;
+    checked here in O(B d) so that no B x B pass meets a NaN or inf."""
     Z1 = np.asarray(Z1, dtype=np.float64)
     Z2 = np.asarray(Z2, dtype=np.float64)
     if Z1.ndim != 2 or Z1.shape != Z2.shape:
         raise LossError(f"embedding shapes differ: {Z1.shape} vs {Z2.shape}")
+    if Z1.shape[0] == 0:
+        raise LossError("empty batch: the embeddings have no rows")
+    if not (np.isfinite(Z1).all() and np.isfinite(Z2).all()):
+        raise LossError("non-finite embedding: a NaN or inf entry")
     return Z1, Z2
 
 
@@ -99,8 +105,11 @@ def _balanced_sweeps(K, cost, epsilon, n):
 
 
 def _through_kernel(K, a, b, Z1, Z2):
-    """P @ Z2 and P' @ Z1 for P = diag(a) K diag(b), without forming P."""
-    return a[:, None] * (K @ (b[:, None] * Z2)), b[:, None] * (K.T @ (a[:, None] * Z1))
+    """P @ Z2 and P' @ Z1 for P = diag(a) K diag(b), without forming P.
+
+    P' @ Z1 is taken as ((a Z1)' K)': the product runs on the short side
+    instead of through the transpose of the B x B K."""
+    return a[:, None] * (K @ (b[:, None] * Z2)), b[:, None] * ((a[:, None] * Z1).T @ K).T
 
 
 def _plan_kl(K, log_u, log_v, c_diag, epsilon, T, cost, Z1, Z2, ck, col=None,
@@ -145,10 +154,7 @@ def _plan_kl(K, log_u, log_v, c_diag, epsilon, T, cost, Z1, Z2, ck, col=None,
 def _check_finite(value, grad_z1, grad_z2):
     """Raise LossError unless the value and both gradients are finite."""
     if not (np.isfinite(value) and np.all(np.isfinite(grad_z1)) and np.all(np.isfinite(grad_z2))):
-        raise LossError(
-            "non-finite loss or gradient: check the embeddings for NaN or inf, "
-            "or raise epsilon"
-        )
+        raise LossError("non-finite loss or gradient: raise epsilon")
 
 
 def _check_rince(q, lam):
@@ -171,27 +177,42 @@ def kl_plan_divergence(target, P, floor=1e-300):
     return generalized_kl(target, P, floor)
 
 
+def _shifted_exp(Z1, Z2, epsilon):
+    """(E, diag s, m, row sums of E) for E = exp(s - m), s = Z1 Z2' / eps
+    and m its row maxima, in one B x B buffer."""
+    E = scaled_similarity(Z1, Z2, epsilon)
+    s_diag = np.diagonal(E).copy()
+    m = E.max(axis=1)
+    E -= m[:, None]
+    np.exp(E, out=E)
+    return E, s_diag, m, E.sum(axis=1)
+
+
 def ince_loss(Z1, Z2, epsilon=0.5):
     """Row-wise cross entropy against the matching index.
 
     sum_i [-s_ii + log sum_j exp(s_ij)] with s = Z1 Z2' / epsilon.
     """
     Z1, Z2 = _check_batch(Z1, Z2)
-    # one B x B buffer: s, then exp(s - m), then the softmax rows
-    P = Z1 @ Z2.T
-    P /= epsilon
-    s_diag = np.diagonal(P).copy()
-    m = P.max(axis=1)
-    P -= m[:, None]
-    np.exp(P, out=P)
-    sums = P.sum(axis=1)
-    lse = np.log(sums) + m
-    value = float(np.sum(lse - s_diag))
-    P /= sums[:, None]  # softmax rows: exp(s - lse)
-    grad_z1 = (P @ Z2 - Z2) / epsilon
-    grad_z2 = (P.T @ Z1 - Z1) / epsilon
+    # E stays unnormalized: the softmax P = diag(w) E, w = 1 / rowsum, is
+    # applied on the B x d side
+    E, s_diag, m, sums = _shifted_exp(Z1, Z2, epsilon)
+    value = float(np.sum(np.log(sums) + m - s_diag))
+    w = (1.0 / sums)[:, None]
+    grad_z1 = E @ Z2
+    grad_z1 *= w
+    grad_z1 -= Z2
+    grad_z1 /= epsilon
+    grad_z2 = ((w * Z1).T @ E).T  # P' Z1 = E' (w Z1)
+    grad_z2 -= Z1
+    grad_z2 /= epsilon
     _check_finite(value, grad_z1, grad_z2)
-    return LossResult(value=value, grad_z1=grad_z1, grad_z2=grad_z2, make_plan=lambda: P)
+
+    def make_plan():
+        # softmax rows exp(s - lse), normalized in place: ``plan`` calls this once
+        return np.divide(E, sums[:, None], out=E)
+
+    return LossResult(value=value, grad_z1=grad_z1, grad_z2=grad_z2, make_plan=make_plan)
 
 
 def gca_ince_loss(Z1, Z2, epsilon=0.5, n_iters=5, target=None, half_step=False,
@@ -245,26 +266,26 @@ def rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):
     # overflow at small epsilon is reported by the output check, not by
     # numpy's warnings on the way there
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # one B x B buffer: s, then exp(s - m), then c = d(value)/ds
-        c = Z1 @ Z2.T
-        c /= epsilon
-        s_diag = np.diagonal(c).copy()
-        m = c.max(axis=1)
-        c -= m[:, None]
-        np.exp(c, out=c)
-        lse = np.log(c.sum(axis=1)) + m
-        pos = np.exp(q * s_diag)
         if lam > 0:
+            E, s_diag, m, sums = _shifted_exp(Z1, Z2, epsilon)
+            lse = np.log(sums) + m
             neg = np.exp(q * (lse + np.log(lam)))
-            # c_ij = d(value)/d(s_ij) = exp((q - 1) lse_i + s_ij + q log lam)
-            c *= np.exp((q - 1.0) * lse + m + q * np.log(lam))[:, None]
+            # d(value)/d(s_ij) = r_i E_ij - pos_i [i == j], with the row
+            # factor r = exp((q - 1) lse + m + q log lam) applied on the B x d side
+            r = np.exp((q - 1.0) * lse + m + q * np.log(lam))[:, None]
+            grad_z1 = E @ Z2
+            grad_z1 *= r
+            grad_z2 = ((r * Z1).T @ E).T
         else:
-            neg = np.zeros_like(pos)
-            c.fill(0.0)
-        c[np.diag_indices_from(c)] -= pos
+            # only the diagonal enters: no B x B product
+            check_epsilon(epsilon)
+            s_diag = np.einsum("ij,ij->i", Z1, Z2) / epsilon
+            neg = 0.0
+            grad_z1 = grad_z2 = 0.0
+        pos = np.exp(q * s_diag)
         value = float(np.sum(neg - pos) / q)
-        grad_z1 = c @ Z2 / epsilon
-        grad_z2 = c.T @ Z1 / epsilon
+        grad_z1 = (grad_z1 - pos[:, None] * Z2) / epsilon
+        grad_z2 = (grad_z2 - pos[:, None] * Z1) / epsilon
     _check_finite(value, grad_z1, grad_z2)
     return LossResult(value=value, grad_z1=grad_z1, grad_z2=grad_z2)
 

@@ -223,6 +223,19 @@ def test_loss_plan_out(embedding_files, tmp_path, capsys):
     assert np.allclose(read_matrix_csv(plan_path), dense.matrix, rtol=1e-12, atol=0.0)
 
 
+def test_loss_plan_out_ince(embedding_files, tmp_path, capsys):
+    # ince normalizes its softmax rows only when the plan is read
+    z1, z2 = embedding_files
+    plan_path = str(tmp_path / "plan.csv")
+    assert main(["loss", "--loss", "ince", z1, z2, "--epsilon", "0.3", "--plan-out", plan_path]) == 0
+    P = read_matrix_csv(plan_path)
+    s = read_matrix_csv(z1) @ read_matrix_csv(z2).T / 0.3
+    want = np.exp(s - s.max(axis=1)[:, None])
+    want /= want.sum(axis=1)[:, None]
+    assert np.allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(P, want, rtol=1e-12, atol=0.0)
+
+
 def test_loss_shape_mismatch(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

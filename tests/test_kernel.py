@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
 from otalign.kernel import (
     KernelError,
     byol_kernel,
@@ -89,19 +90,50 @@ def test_gibbs_kernel_is_exp_of_negated_cost_bit_for_bit(rng):
         assert K.cost is C
 
 
+def near_pairs(rng, B, d=16):
+    Z1 = normalize_rows(rng.normal(size=(B, d)))
+    Z2 = normalize_rows(Z1 + 0.3 * rng.normal(size=(B, d)))
+    return (Z1, Z2), (Z1, Z1)
+
+
 @pytest.mark.parametrize("B", [64, 1024])
 def test_cosine_kernel_is_the_kernel_of_the_cost_bit_for_bit(rng, B):
-    # one fused buffer; the numbers of gibbs_kernel(cosine_cost(...)) must not change
-    Z1 = normalize_rows(rng.normal(size=(B, 16)))
-    Z2 = normalize_rows(Z1 + 0.3 * rng.normal(size=(B, 16)))
-    for Za, Zb in ((Z1, Z2), (Z1, Z1)):
-        C = np.clip(1 - Za @ Zb.T, 0, 2)
-        for eps in (0.05, 0.5):
+    # 1/eps folded into the similarity scales exactly when eps is a power
+    # of two: there the numbers of gibbs_kernel(cosine_cost(...)) must not change
+    for Za, Zb in near_pairs(rng, B):
+        for eps in (0.5, 0.25, 2.0):
             K, diag = cosine_kernel(Za, Zb, eps)
-            assert K.tobytes() == np.exp(-C / eps).tobytes()
-            assert diag.tobytes() == np.diagonal(C).tobytes()
+            want, diag_c = dense.kernel(Za, Zb, eps)
+            assert K.tobytes() == want.tobytes()
+            assert np.array_equal(diag, diag_c)
     with pytest.raises(KernelError, match="epsilon must be positive"):
-        cosine_kernel(Z1, Z2, 0.0)
+        cosine_kernel(Za, Zb, 0.0)
+
+
+@pytest.mark.parametrize("B", [64, 1024])
+def test_cosine_kernel_is_the_kernel_of_the_cost_to_rounding(rng, B):
+    # elsewhere both are off the exact kernel by at most kernel_error each
+    for Za, Zb in near_pairs(rng, B):
+        for eps in (0.05, 0.3, 0.7):
+            K, diag = cosine_kernel(Za, Zb, eps)
+            want, diag_c = dense.kernel(Za, Zb, eps)
+            assert np.max(np.abs(K / want - 1)) <= 2 * dense.kernel_error(16, eps)
+            # C_ii = -eps x_ii from the exponent x_ii: its error, then one rounding
+            assert np.max(np.abs(diag - diag_c)) <= 2 * (eps * dense.similarity_error(16, eps) + 2 * dense.U)
+
+
+def test_cosine_kernel_is_as_accurate_as_the_cost_kernel(rng):
+    # against a long-double evaluation, the mean relative error of the fused
+    # kernel is at most twice that of exp(-C/eps) in float64
+    errs = np.zeros(2)
+    for B in (8, 64, 256):
+        for d in (4, 16, 32):
+            Za, Zb = near_pairs(rng, B, d)[0]
+            for eps in (0.05, 0.3, 0.7, 2.0):
+                exact, _ = dense.kernel(*dense.long_double(Za, Zb), eps)
+                for k, K in enumerate((cosine_kernel(Za, Zb, eps)[0], dense.kernel(Za, Zb, eps)[0])):
+                    errs[k] += float(np.max(np.abs(K - exact) / exact))
+    assert errs[0] <= 2 * errs[1], errs
 
 
 def test_gibbs_kernel_rejects_bad_epsilon():

@@ -4,7 +4,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from otalign.kernel import cosine_cost, gibbs_kernel, normalize_rows
+import dense_reference as dense
+from otalign.kernel import (
+    GibbsKernel,
+    KernelError,
+    cosine_cost,
+    cosine_kernel,
+    gibbs_kernel,
+    normalize_rows,
+)
 from otalign.losses import (
     LOSS_FUNCTIONS,
     LossError,
@@ -255,61 +263,63 @@ def test_gca_losses_build_the_cost_only_when_absorption_fires(rng, monkeypatch, 
         assert len(costs) == builds, (target is None, eps, len(costs))
 
 
-# ------------------------------------------- the formulas before fusion
+# ------------------------------------------------ the textbook formulas
 #
 # ince, rince and rince_proximal_form build their B x B data in one
-# buffer.  These are the formulas as they read with fresh arrays; the
-# fused code must give the same numbers bit for bit.
+# buffer, with 1/eps folded into the similarity and the row scalings
+# applied on the B x d side.  dense_reference holds the formulas as they
+# read with fresh arrays, and the rounding bounds they are compared at.
 
 
-def unfused_ince(Z1, Z2, eps):
-    s = (Z1 @ Z2.T) / eps
-    m = s.max(axis=1)
-    P = np.exp(s - m[:, None])
-    sums = P.sum(axis=1)
-    value = float(np.sum(np.log(sums) + m - np.diagonal(s)))
-    P /= sums[:, None]
-    return value, (P @ Z2 - Z2) / eps, (P.T @ Z1 - Z1) / eps
-
-
-def unfused_rince(Z1, Z2, eps, q, lam):
-    s = (Z1 @ Z2.T) / eps
-    m = s.max(axis=1)
-    e = np.exp(s - m[:, None])
-    lse = np.log(e.sum(axis=1)) + m
-    pos = np.exp(q * np.diagonal(s))
-    if lam > 0:
-        neg = np.exp(q * (lse + np.log(lam)))
-        c = e * np.exp((q - 1.0) * lse + m + q * np.log(lam))[:, None]
-    else:
-        neg = np.zeros_like(pos)
-        c = np.zeros_like(s)
-    c[np.diag_indices_from(c)] -= pos
-    return float(np.sum(neg - pos) / q), c @ Z2 / eps, c.T @ Z1 / eps
-
-
-def unfused_rince_proximal_form(Z1, Z2, eps, q, lam):
-    K = np.exp(-np.clip(1 - Z1 @ Z2.T, 0, 2) / eps)
-    u = 1.0 / (K.sum(axis=1))
-    pos = (np.diag(u[:, None] * K) / u) ** q
-    neg = (lam / u) ** q if lam > 0 else np.zeros_like(pos)
-    return float(np.sum(neg - pos) / q)
+def assert_within(got, want, bound):
+    """Each of (value, grad_z1, grad_z2) within twice its bound of the
+    textbook's: both are within the bound of the exact numbers."""
+    for g, w, b in zip(got, want, bound):
+        assert np.all(np.abs(g - w) <= 2 * b), float(np.max(np.abs(g - w) / b))
 
 
 @pytest.mark.parametrize("B", [64, 1024])
-def test_fused_losses_equal_the_unfused_formulas_bit_for_bit(rng, B):
+def test_fused_losses_match_the_textbook_formulas(rng, B):
     Z1, Z2 = pair(rng, B=B, d=16)
     Z2 = normalize_rows(Z1 + 0.3 * Z2)
     for eps in (0.5, 0.05):
-        cases = [(ince_loss(Z1, Z2, epsilon=eps), unfused_ince(Z1, Z2, eps))]
+        res = ince_loss(Z1, Z2, epsilon=eps)
+        assert_within((res.value, res.grad_z1, res.grad_z2), dense.ince(Z1, Z2, eps),
+                      dense.ince_error(Z1, Z2, eps))
         for lam in (0.01, 0.0):
-            cases.append((rince_loss(Z1, Z2, epsilon=eps, q=0.98, lam=lam),
-                          unfused_rince(Z1, Z2, eps, 0.98, lam)))
-            assert (rince_proximal_form(Z1, Z2, epsilon=eps, q=0.98, lam=lam)
-                    == unfused_rince_proximal_form(Z1, Z2, eps, 0.98, lam))
-        for res, (value, g1, g2) in cases:
-            assert res.value == value
-            assert np.array_equal(res.grad_z1, g1) and np.array_equal(res.grad_z2, g2)
+            res = rince_loss(Z1, Z2, epsilon=eps, q=0.98, lam=lam)
+            assert_within((res.value, res.grad_z1, res.grad_z2), dense.rince(Z1, Z2, eps, 0.98, lam),
+                          dense.rince_error(Z1, Z2, eps, 0.98, lam))
+            prox = rince_proximal_form(Z1, Z2, epsilon=eps, q=0.98, lam=lam)
+            want = dense.rince_proximal_form(Z1, Z2, eps, 0.98, lam)
+            if eps == 0.5:
+                # the kernel is exact at a power-of-two eps, and so is the rest
+                assert prox == want
+            else:
+                assert abs(prox - want) <= 2 * dense.rince_proximal_form_error(Z1, Z2, eps, 0.98, lam)
+
+
+def test_fused_losses_are_as_accurate_as_the_textbook_formulas(rng):
+    # against a long-double evaluation, the mean error of each fused output
+    # is at most twice that of the textbook formula in float64
+    errs = {}
+    for B in (8, 64, 256):
+        for d in (4, 16, 32):
+            Z1, Z2 = pair(rng, B=B, d=d)
+            Z2 = normalize_rows(Z1 + 0.3 * Z2)
+            L1, L2 = dense.long_double(Z1, Z2)
+            for eps in (0.05, 0.3, 0.7, 2.0):
+                runs = [("ince", ince_loss(Z1, Z2, epsilon=eps), dense.ince, ())]
+                for lam in (0.01, 0.0):
+                    runs.append((f"rince lam={lam}", rince_loss(Z1, Z2, epsilon=eps, q=0.98, lam=lam),
+                                 dense.rince, (0.98, lam)))
+                for name, res, formula, args in runs:
+                    exact = formula(L1, L2, eps, *args)
+                    e = errs.setdefault(name, np.zeros((2, 3)))
+                    e[0] += dense.relative_errors((res.value, res.grad_z1, res.grad_z2), exact)
+                    e[1] += dense.relative_errors(formula(Z1, Z2, eps, *args), exact)
+    for name, (fused, textbook) in errs.items():
+        assert np.all(fused <= 2 * textbook), (name, fused / textbook)
 
 
 # ----------------------------------------- dense reference formulas
@@ -371,6 +381,12 @@ DENSE_CASES = {
 }
 
 
+def loss_kernel(Z1, Z2, eps):
+    """The kernel the gca-* losses scale, with its cost: the scalings are
+    compared bit for bit, so the reference loop runs on the same numbers."""
+    return GibbsKernel(cosine_kernel(Z1, Z2, eps)[0], eps, cosine_cost(Z1, Z2))
+
+
 def dense_case_batch(rng, case):
     Z1, Z2 = pair(rng)
     if not case.get("independent"):
@@ -387,7 +403,7 @@ def test_gca_rince_matches_dense_formula(rng, name):
           "n_iters": case.get("n_iters", 5), "target": case.get("target")}
     res = gca_rince_loss(Z1, Z2, **kw)
     if kw["n_iters"] >= 2:
-        K = gibbs_kernel(cosine_cost(Z1, Z2), eps)
+        K = loss_kernel(Z1, Z2, eps)
         _, _, traj = sinkhorn(K, opts=SolverOptions(max_iterations=kw["n_iters"] - 1))
         v_prev = np.exp(traj.g[-1] / eps)
     else:
@@ -409,7 +425,7 @@ def test_gca_uot_matches_dense_formula(rng, name):
     kw = {"epsilon": eps, "q": 0.98, "lam": case.get("lam", 0.01), "weight": 0.5,
           "target": case.get("target"), "column_normalize": case.get("column_normalize", True)}
     res = gca_uot_loss(Z1, Z2, **kw)
-    K = gibbs_kernel(cosine_cost(Z1, Z2), eps)
+    K = loss_kernel(Z1, Z2, eps)
     opts = UotOptions(epsilon=eps, column_normalize=False)
     log_u, log_v, log_v_prev, _, _ = _solve_scalings(
         K.matrix, K.cost, eps, np.ones(len(Z1)), np.ones(len(Z1)), opts
@@ -536,17 +552,54 @@ def test_gca_losses_reject_a_non_finite_target(rng, fn, entry):
         fn(Z1, Z2, target=bad)
 
 
-@pytest.mark.parametrize("fn", [
-    ince_loss,
-    rince_loss,
-    # one sweep runs no scaling loop, so no kernel check sees the NaN
+TRANSPORT_LOSSES = [ince_loss, gca_ince_loss, rince_loss, gca_rince_loss, gca_uot_loss]
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", TRANSPORT_LOSSES + [
+    # one sweep runs no scaling loop, so no kernel check could see the entry
     pytest.param(partial(gca_rince_loss, n_iters=1), id="gca_rince_loss-one-sweep"),
 ])
-def test_nan_embedding_raises_instead_of_returning_nan(rng, fn):
+def test_nan_embedding_raises_instead_of_returning_nan(rng, fn, entry):
+    # every loss checks its batches once, before any B x B pass: a typed
+    # error, never a numpy warning or a NaN
+    for side in (0, 1):
+        Z = list(pair(rng, B=16, d=4))
+        Z[side][0, 0] = entry
+        with pytest.raises(LossError, match="non-finite"):
+            fn(*Z)
+
+
+@pytest.mark.parametrize("fn", TRANSPORT_LOSSES)
+def test_empty_batch_raises(fn):
+    Z = np.zeros((0, 4))
+    with pytest.raises(LossError, match="empty batch"):
+        fn(Z, Z)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, np.nan])
+@pytest.mark.parametrize("fn", TRANSPORT_LOSSES)
+def test_every_loss_rejects_a_non_positive_epsilon(rng, fn, eps):
     Z1, Z2 = pair(rng)
-    Z2[0, 0] = np.nan
-    with pytest.raises(LossError, match="non-finite"):
-        fn(Z1, Z2)
+    with pytest.raises(KernelError, match="epsilon must be positive"):
+        fn(Z1, Z2, epsilon=eps)
+    if fn is rince_loss:
+        # lam = 0 builds no similarity matrix, but checks eps all the same
+        with pytest.raises(KernelError, match="epsilon must be positive"):
+            fn(Z1, Z2, epsilon=eps, lam=0.0)
+
+
+def test_ince_plan_is_the_softmax_read_once(rng):
+    # the softmax rows are normalized only when the plan is first read
+    Z1, Z2 = pair(rng, B=32, d=6)
+    res = ince_loss(Z1, Z2, epsilon=0.3)
+    first = res.plan
+    assert res.plan is first
+    s = Z1 @ Z2.T / 0.3
+    want = np.exp(s - s.max(axis=1)[:, None])
+    want /= want.sum(axis=1)[:, None]
+    assert np.allclose(first, want, rtol=1e-12, atol=0.0)
+    assert np.allclose(first.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_rince_overflow_at_small_epsilon_raises(unit_batch):
