@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _backends
 from .errors import OtalignError
-from .kernel import check_epsilon, cosine_cost, cosine_kernel, scaled_similarity
+from .kernel import cosine_cost, cosine_kernel, scaled_similarity
 from .plans import check_batch_size
 from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel
 from .uot import UotOptions, _solve_scalings, generalized_kl
@@ -266,8 +266,13 @@ def rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):
     # overflow at small epsilon is reported by the output check, not by
     # numpy's warnings on the way there
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        E, _, m, sums = _shifted_exp(Z1, Z2, epsilon)
+        # s_ii from the row dot products, not from E's GEMM: the rounding of
+        # the 1/eps folded there moves every s_ii the same way, and
+        # sum_i e^{q s_ii}, unlike ince's lse_i - s_ii, does not cancel it
+        s_diag = np.einsum("ij,ij->i", Z1, Z2)
+        s_diag /= epsilon
         if lam > 0:
-            E, s_diag, m, sums = _shifted_exp(Z1, Z2, epsilon)
             lse = np.log(sums) + m
             neg = np.exp(q * (lse + np.log(lam)))
             # d(value)/d(s_ij) = r_i E_ij - pos_i [i == j], with the row
@@ -277,9 +282,6 @@ def rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):
             grad_z1 *= r
             grad_z2 = ((r * Z1).T @ E).T
         else:
-            # only the diagonal enters: no B x B product
-            check_epsilon(epsilon)
-            s_diag = np.einsum("ij,ij->i", Z1, Z2) / epsilon
             neg = 0.0
             grad_z1 = grad_z2 = 0.0
         pos = np.exp(q * s_diag)

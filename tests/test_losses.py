@@ -557,6 +557,7 @@ TRANSPORT_LOSSES = [ince_loss, gca_ince_loss, rince_loss, gca_rince_loss, gca_uo
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("fn", TRANSPORT_LOSSES + [
+    byol_loss,
     # one sweep runs no scaling loop, so no kernel check could see the entry
     pytest.param(partial(gca_rince_loss, n_iters=1), id="gca_rince_loss-one-sweep"),
 ])
@@ -570,7 +571,7 @@ def test_nan_embedding_raises_instead_of_returning_nan(rng, fn, entry):
             fn(*Z)
 
 
-@pytest.mark.parametrize("fn", TRANSPORT_LOSSES)
+@pytest.mark.parametrize("fn", TRANSPORT_LOSSES + [byol_loss])
 def test_empty_batch_raises(fn):
     Z = np.zeros((0, 4))
     with pytest.raises(LossError, match="empty batch"):
@@ -584,7 +585,7 @@ def test_every_loss_rejects_a_non_positive_epsilon(rng, fn, eps):
     with pytest.raises(KernelError, match="epsilon must be positive"):
         fn(Z1, Z2, epsilon=eps)
     if fn is rince_loss:
-        # lam = 0 builds no similarity matrix, but checks eps all the same
+        # lam = 0 skips the gradient GEMMs, but checks eps all the same
         with pytest.raises(KernelError, match="epsilon must be positive"):
             fn(Z1, Z2, epsilon=eps, lam=0.0)
 
