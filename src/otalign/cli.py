@@ -10,17 +10,10 @@ import sys
 
 import numpy as np
 
+from . import properties
 from .errors import OtalignError
 from .kernel import cosine_cost, gibbs_kernel, normalize_rows
-from .losses import (
-    LOSS_FUNCTIONS,
-    gca_ince_loss,
-    gca_rince_loss,
-    ince_loss,
-    kl_plan_divergence,
-    rince_loss,
-    rince_proximal_form,
-)
+from .losses import LOSS_FUNCTIONS
 from .matio import (
     append_metrics_jsonl,
     read_matrix_bin,
@@ -28,16 +21,8 @@ from .matio import (
     write_matrix_bin,
     write_matrix_csv,
 )
-from .metrics import kl_via_duals
 from .plans import block_domain_plan
-from .solver import (
-    Marginals,
-    SolverOptions,
-    default_marginals,
-    dual_objective,
-    dual_objectives,
-    sinkhorn,
-)
+from .solver import Marginals, SolverOptions, dual_objectives, sinkhorn
 from .train import (
     AugmentConfig,
     TrainConfig,
@@ -140,8 +125,6 @@ def cmd_uot(args):
 def cmd_loss(args):
     Z1 = _load_matrix(args.z1)
     Z2 = _load_matrix(args.z2)
-    if Z1.shape != Z2.shape:
-        raise UsageError(f"embedding shapes differ: {Z1.shape} vs {Z2.shape}")
     name = args.loss
     if name == "byol":
         res = LOSS_FUNCTIONS[name](Z1, Z2)
@@ -224,84 +207,33 @@ def cmd_train(args):
     return 0
 
 
-def _random_unit_batch(rng, B, d):
-    return normalize_rows(rng.normal(size=(B, d)))
-
-
 def _verify_properties(n, seed):
     rng = np.random.default_rng(seed)
-    results = {
-        "ince_half_step_equivalence": {"pass": True, "worst": 0.0},
-        "rince_proximal_equivalence": {"pass": True, "worst": 0.0},
-        "kl_monotone_along_iterations": {"pass": True, "worst": 0.0},
-        "gca_rince_below_proximal": {"pass": True, "worst": 0.0},
-        "kl_dual_identity": {"pass": True, "worst": 0.0},
-        "dual_objective_monotone": {"pass": True, "worst": 0.0},
-        "uot_balanced_limit": {"pass": True, "worst": 0.0},
-    }
-
-    def record(name, err, tol):
-        r = results[name]
-        r["worst"] = max(r["worst"], float(err))
-        if err > tol:
-            r["pass"] = False
-
+    results = {name: {"pass": True, "worst": 0.0} for name in properties.TOLERANCES}
     for _ in range(n):
         B = int(rng.integers(4, 33))
         d = int(rng.integers(4, 17))
         eps = float(rng.choice([0.1, 0.5, 1.0]))
-        Z1 = _random_unit_batch(rng, B, d)
-        Z2 = _random_unit_batch(rng, B, d)
-
-        a = ince_loss(Z1, Z2, eps).value
-        b = gca_ince_loss(Z1, Z2, eps, n_iters=1, half_step=True).value
-        record("ince_half_step_equivalence", abs(a - b), 1e-10)
-
+        Z1 = normalize_rows(rng.normal(size=(B, d)))
+        Z2 = normalize_rows(rng.normal(size=(B, d)))
         q = float(rng.choice([0.5, 1.0]))
         lam = float(rng.choice([0.01, 0.5]))
-        r1 = rince_loss(Z1, Z2, eps, q=q, lam=lam).value
-        r2 = np.exp(q / eps) * rince_proximal_form(Z1, Z2, eps, q=q, lam=lam)
-        record("rince_proximal_equivalence", abs(r1 - r2) / max(abs(r1), 1e-12), 1e-9)
-
-        C = cosine_cost(Z1, Z2)
-        K = gibbs_kernel(C, eps)
-        marg = default_marginals(B)
-        plan, state, traj = sinkhorn(K, marg, SolverOptions(max_iterations=10))
-        tgt = np.eye(B)
-        prev = np.inf
-        worst_drop = 0.0
-        worst_gap = 0.0
-        for t in range(1, 11):
-            P2t = traj.plan_at(2 * t)
-            kl = kl_plan_divergence(tgt, P2t)
-            f, g = traj.f[2 * t - 1], traj.g[2 * t - 1]
-            worst_gap = max(worst_gap, abs(kl - kl_via_duals(C, f, g, eps)))
-            worst_drop = max(worst_drop, kl - prev if np.isfinite(prev) else 0.0)
-            prev = kl
-        record("kl_monotone_along_iterations", max(worst_drop, worst_gap), 1e-9)
-
-        g5 = gca_rince_loss(Z1, Z2, eps, q=1.0, lam=lam, n_iters=5).value
-        prox = rince_proximal_form(Z1, Z2, eps, q=1.0, lam=lam)
-        record("gca_rince_below_proximal", g5 - prox, 1e-12)
-
-        record(
-            "kl_dual_identity",
-            abs(kl_plan_divergence(tgt, plan.matrix) - kl_via_duals(C, state.f, state.g, eps)),
-            1e-9,
-        )
-
-        duals = [dual_objective(traj.f[h], traj.g[h], C, eps, marg) for h in range(traj.n_half)]
-        drop = max(
-            (duals[h] - duals[h + 1] for h in range(len(duals) - 1)), default=0.0
-        )
-        record("dual_objective_monotone", drop, 1e-9)
-
-        opts = UotOptions(lambda1=1e4, lambda2=1e4, epsilon=eps, iterations=50,
-                          column_normalize=False)
-        uplan, _ = unbalanced_sinkhorn(K, marg, opts)
-        bplan, _, _ = sinkhorn(K, marg, SolverOptions(max_iterations=50))
-        record("uot_balanced_limit", np.sum(np.abs(uplan.matrix - bplan.matrix)), 1e-3)
-
+        K = gibbs_kernel(cosine_cost(Z1, Z2), eps)
+        solved = sinkhorn(K, opts=SolverOptions(max_iterations=10))
+        errors = {
+            "ince_half_step_equivalence": properties.ince_half_step_equivalence(Z1, Z2, eps),
+            "rince_proximal_equivalence": properties.rince_proximal_equivalence(Z1, Z2, eps, q, lam),
+            "gca_rince_below_proximal": properties.gca_rince_below_proximal(Z1, Z2, eps, lam),
+            "kl_monotone_along_iterations": properties.kl_monotone_along_iterations(K, solved),
+            "kl_dual_identity": properties.kl_dual_identity(K, solved),
+            "dual_objective_monotone": properties.dual_objective_monotone(K, solved),
+            "uot_balanced_limit": properties.uot_balanced_limit(K),
+        }
+        for name, err in errors.items():
+            r = results[name]
+            r["worst"] = max(r["worst"], float(err))
+            if err > properties.TOLERANCES[name]:
+                r["pass"] = False
     return results
 
 

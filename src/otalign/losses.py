@@ -443,9 +443,6 @@ LOSS_FUNCTIONS = {
     "byol": byol_loss,
 }
 
-# losses whose gradients hold inner scalings fixed; the checker reuses
-# the scalings captured at the base point
-_FROZEN = {"gca-ince", "gca-rince", "gca-uot"}
 # losses that stop the gradient on the second argument by contract
 _STOP_GRAD_Z2 = {"byol"}
 
@@ -453,11 +450,11 @@ _STOP_GRAD_Z2 = {"byol"}
 def loss_grad_check(loss_id, Z1, Z2, config=None, h=1e-6):
     """Central finite differences of a loss against its analytic grads.
 
-    For the plan-based losses the perturbed evaluations reuse the
-    scalings captured at the base point, matching the fixed-scaling
-    gradient contract.  Returns the max relative error over both
-    arguments, measured as max absolute deviation over max absolute
-    numeric entry.
+    For a loss that returns frozen scalings (the gca-* losses) the
+    perturbed evaluations reuse the ones captured at the base point,
+    matching the fixed-scaling gradient contract.  Returns the max
+    relative error over both arguments, measured as max absolute
+    deviation over max absolute numeric entry.
     """
     if loss_id not in LOSS_FUNCTIONS:
         raise LossError(f"unknown loss: {loss_id}")
@@ -466,7 +463,7 @@ def loss_grad_check(loss_id, Z1, Z2, config=None, h=1e-6):
     Z1 = np.asarray(Z1, dtype=np.float64)
     Z2 = np.asarray(Z2, dtype=np.float64)
     base = fn(Z1, Z2, **cfg)
-    if loss_id in _FROZEN:
+    if base.frozen is not None:
         cfg["frozen"] = base.frozen
     errs = []
     grads = [(0, base.grad_z1), (1, base.grad_z2)]

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from otalign import cli
+from otalign import cli, properties
 from otalign.cli import main
+from otalign.losses import LOSS_FUNCTIONS
 from otalign.matio import read_matrix_bin, read_matrix_csv, write_matrix_csv
 from otalign.metrics import MetricError
 
@@ -236,13 +237,14 @@ def test_loss_plan_out_ince(embedding_files, tmp_path, capsys):
     assert np.allclose(P, want, rtol=1e-12, atol=0.0)
 
 
-def test_loss_shape_mismatch(tmp_path, capsys):
+@pytest.mark.parametrize("loss", sorted(LOSS_FUNCTIONS))
+def test_loss_shape_mismatch(loss, tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     a.write_text("1,0\n0,1\n")
     b.write_text("1,0\n0,1\n1,0\n")
-    assert main(["loss", "--loss", "ince", str(a), str(b)]) == 2
-    assert "shapes differ" in capsys.readouterr().err
+    assert main(["loss", "--loss", loss, str(a), str(b)]) == 2
+    assert capsys.readouterr().err == "error: embedding shapes differ: (2, 2) vs (3, 2)\n"
 
 
 def test_plan_subcommand(tmp_path):
@@ -316,6 +318,7 @@ def test_verify_passing_properties_are_tight(tmp_path):
     report = str(tmp_path / "report.json")
     main(["verify", "--n", "5", "--seed", "1", "--report", report])
     rep = json.loads(open(report).read())
-    assert rep["ince_half_step_equivalence"]["worst"] < 1e-10
-    assert rep["rince_proximal_equivalence"]["worst"] < 1e-9
-    assert rep["kl_dual_identity"]["worst"] < 1e-9
+    assert set(rep) == set(properties.TOLERANCES)
+    for name, r in rep.items():
+        if r["pass"]:
+            assert r["worst"] < properties.TOLERANCES[name], name

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
+from otalign import properties
 from otalign.kernel import (
     GibbsKernel,
     KernelError,
@@ -99,9 +100,8 @@ def test_gca_ince_half_step_equals_ince(rng):
         B = int(rng.integers(3, 16))
         Z1, Z2 = pair(rng, B=B, d=5)
         eps = float(rng.choice([0.1, 0.5, 1.0]))
-        a = ince_loss(Z1, Z2, epsilon=eps).value
-        b = gca_ince_loss(Z1, Z2, epsilon=eps, n_iters=1, half_step=True).value
-        assert abs(a - b) < 1e-10
+        err = properties.ince_half_step_equivalence(Z1, Z2, eps)
+        assert err <= properties.TOLERANCES["ince_half_step_equivalence"]
 
 
 def test_rince_proximal_identity(rng):
@@ -110,10 +110,8 @@ def test_rince_proximal_identity(rng):
         Z1, Z2 = pair(rng)
         q = float(rng.choice([0.5, 1.0]))
         lam = float(rng.choice([0.01, 0.5]))
-        direct = rince_loss(Z1, Z2, epsilon=0.5, q=q, lam=lam).value
-        prox = rince_proximal_form(Z1, Z2, epsilon=0.5, q=q, lam=lam)
-        scaled = np.exp(q / 0.5) * prox
-        assert abs(direct - scaled) <= 1e-9 * max(1.0, abs(direct))
+        err = properties.rince_proximal_equivalence(Z1, Z2, 0.5, q, lam)
+        assert err <= properties.TOLERANCES["rince_proximal_equivalence"]
 
 
 def test_gca_rince_one_iteration_equals_proximal(rng):
@@ -124,6 +122,17 @@ def test_gca_rince_one_iteration_equals_proximal(rng):
         got = gca_rince_loss(Z1, Z2, epsilon=0.5, q=1.0, lam=0.01, n_iters=1).value
         want = rince_proximal_form(Z1, Z2, epsilon=0.5, q=1.0, lam=0.01)
         assert abs(got - want) < 1e-12
+
+
+def test_gca_rince_below_proximal_fails_on_a_fixed_pair():
+    # B=2, eps=0.5, q=1: every sweep leaves v at ((1 + e^2) / 2,
+    # (1 + e^-2) / 2), where sum_j c_j (v_j - 1) = 0 for K's column sums c,
+    # so the gap sum_j (v_j - 1)(lam c_j - K_jj) = (1 - e^-2)^2 / 2 for any lam
+    Z1 = np.array([[1.0, 0.0], [0.0, 1.0]])
+    Z2 = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    for lam in (0.01, 0.5):
+        gap = properties.gca_rince_below_proximal(Z1, Z2, 0.5, lam)
+        assert abs(gap - 0.37382253620775435) <= 1e-12
 
 
 def test_gca_ince_full_plan_differs_from_half_step(rng):

@@ -81,20 +81,15 @@ def test_compactness_label_mismatch():
 
 
 def test_kl_via_duals_matches_direct(rng, unit_batch):
+    from otalign import properties
     from otalign.kernel import cosine_cost
-    from otalign.losses import kl_plan_divergence
     from otalign.solver import SolverOptions
 
     for _ in range(5):
-        Z1 = unit_batch(8, 5)
-        Z2 = unit_batch(8, 5)
-        C = cosine_cost(Z1, Z2)
-        K = gibbs_kernel(C, 0.5)
-        plan, state, traj = sinkhorn(K, opts=SolverOptions(max_iterations=6))
-        direct = kl_plan_divergence(np.eye(8), plan.matrix * 8.0 / plan.matrix.sum())
-        # both compute KL(I || P) for the mass-8 plan after a full sweep
-        via = kl_via_duals(C, state.f, state.g, 0.5)
-        assert abs(direct - via) < 1e-6
+        K = gibbs_kernel(cosine_cost(unit_batch(8, 5), unit_batch(8, 5)), 0.5)
+        solved = sinkhorn(K, opts=SolverOptions(max_iterations=6))
+        err = properties.kl_dual_identity(K, solved)
+        assert err <= properties.TOLERANCES["kl_dual_identity"]
 
 
 def test_kl_via_duals_shape_check():

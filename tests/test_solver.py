@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otalign import properties
 from otalign.kernel import GibbsKernel, cosine_cost, gibbs_kernel, normalize_rows
 from otalign.solver import (
     Marginals,
@@ -147,10 +148,9 @@ def test_absorption_handles_small_epsilon(rng):
 def test_dual_objective_nondecreasing(rng):
     for _ in range(10):
         K = random_kernel(rng)
-        _, _, traj = sinkhorn(K, opts=SolverOptions(max_iterations=6))
-        m = default_marginals(8)
-        vals = [dual_objective(traj.f[h], traj.g[h], K.cost, K.epsilon, m) for h in range(traj.n_half)]
-        assert all(b >= a - 1e-11 for a, b in zip(vals, vals[1:]))
+        solved = sinkhorn(K, opts=SolverOptions(max_iterations=6))
+        # stricter than the catalogue's 1e-9 on these B=8 batches
+        assert properties.dual_objective_monotone(K, solved) <= 1e-11
 
 
 def test_hilbert_metric_oracle():
