@@ -4,12 +4,10 @@ from .errors import OtalignError
 from .kernel import (
     GibbsKernel,
     KernelError,
-    byol_kernel,
     cosine_cost,
     cosine_kernel,
     gibbs_kernel,
     normalize_rows,
-    sqeuclidean_cost,
 )
 from .losses import (
     LOSS_FUNCTIONS,
@@ -28,7 +26,6 @@ from .losses import (
 from .metrics import (
     MetricError,
     alignment_loss,
-    compactness,
     kl_via_duals,
     uniformity_loss,
 )
@@ -41,12 +38,9 @@ from .solver import (
     Trajectory,
     TransportPlan,
     default_marginals,
-    dual_objective,
     dual_objectives,
     hilbert_metric,
     marginal_error,
-    project_cols,
-    project_rows,
     sinkhorn,
 )
 from .train import (
@@ -64,6 +58,6 @@ from .train import (
     linear_probe,
     train_encoder,
 )
-from .uot import UotOptions, generalized_kl, unbalanced_sinkhorn, uot_objective
+from .uot import UotOptions, unbalanced_sinkhorn
 
 __version__ = "0.1.0"

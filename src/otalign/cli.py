@@ -238,6 +238,8 @@ def _verify_properties(n, seed):
 
 
 def cmd_verify(args):
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
     results = _verify_properties(args.n, args.seed)
     ok = all(r["pass"] for r in results.values())
     for name, r in sorted(results.items()):

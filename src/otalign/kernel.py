@@ -54,14 +54,6 @@ def cosine_cost(Z1, Z2):
     return np.clip(C, 0.0, 2.0, out=C)
 
 
-def sqeuclidean_cost(Z1, Z2):
-    """C_ij = ||z1_i - z2_j||^2; equals 2x cosine cost on unit vectors."""
-    Z1, Z2 = _check_pair(Z1, Z2)
-    sq1 = np.sum(Z1 * Z1, axis=1)[:, None]
-    sq2 = np.sum(Z2 * Z2, axis=1)[None, :]
-    return np.maximum(sq1 + sq2 - 2.0 * Z1 @ Z2.T, 0.0)
-
-
 def check_epsilon(epsilon):
     """Raise KernelError unless eps > 0 (a NaN eps included)."""
     if not epsilon > 0:
@@ -105,10 +97,3 @@ def cosine_kernel(Z1, Z2, epsilon):
     np.clip(K, -2.0 * inv, 0.0, out=K)
     diag = np.diagonal(K) * -epsilon  # C_ii from the exponent -C_ii / eps
     return np.exp(K, out=K), diag
-
-
-def byol_kernel(Q, Z2):
-    """S_ij = exp(-||q_i - z2_j||), plain (unsquared) norm in the exponent."""
-    Q, Z2 = _check_pair(Q, Z2)
-    dist = np.sqrt(sqeuclidean_cost(Q, Z2))
-    return GibbsKernel(matrix=np.exp(-dist), epsilon=1.0, cost=dist)

@@ -18,7 +18,7 @@ from .errors import OtalignError
 from .kernel import cosine_cost, cosine_kernel, scaled_similarity
 from .plans import check_batch_size
 from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel
-from .uot import UotOptions, _solve_scalings, generalized_kl
+from .uot import UotOptions, _solve_scalings
 
 
 class LossError(OtalignError):
@@ -165,16 +165,20 @@ def _check_rince(q, lam):
 
 
 def kl_plan_divergence(target, P, floor=1e-300):
-    """Generalized KL divergence sum t*log(t/p) - t + p between plans."""
+    """Generalized KL divergence sum t*log(t/p) - t + p between plans,
+    with the 0*log0 = 0 convention."""
     target = np.asarray(target, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
     if target.shape != P.shape:
         raise LossError("plan shapes differ")
     if np.any(target < 0) or np.any(P < 0):
         raise LossError("plans must be non-negative")
-    if np.any((target > 0) & (P <= 0)):
+    mask = target > 0
+    if np.any(mask & (P <= 0)):
         raise LossError("target puts mass where the plan is zero")
-    return generalized_kl(target, P, floor)
+    term = np.zeros_like(target)
+    term[mask] = target[mask] * (np.log(target[mask]) - np.log(np.maximum(P[mask], floor)))
+    return float(term.sum() - target.sum() + P.sum())
 
 
 def _shifted_exp(Z1, Z2, epsilon):

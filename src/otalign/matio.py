@@ -16,28 +16,20 @@ from .errors import OtalignError
 MAGIC = b"GCAM"
 VERSION = 1
 
-# Known metric names for JSONL records.
+# The metric names ``otalign train`` writes to JSONL: per-epoch history,
+# the final probe record and the domain-sweep rows.
 METRIC_REGISTRY = frozenset(
     {
-        "step",
         "epoch",
         "loss",
         "alignment",
         "uniformity",
-        "marginal_error",
         "probe_accuracy",
         "class_accuracy",
         "domain_accuracy",
         "alpha",
         "beta",
         "seed",
-        "lr",
-        "dual_objective",
-        "row_residual",
-        "col_residual",
-        "iterations",
-        "compactness",
-        "wall_time",
     }
 )
 

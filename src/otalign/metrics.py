@@ -46,22 +46,6 @@ def uniformity_loss(Z, epsilon):
     return float(np.log(pot.sum() / (B * (B - 1))))
 
 
-def compactness(Z, labels):
-    """Mean distance of each embedding to its class centroid."""
-    Z = np.asarray(Z, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.shape[0] != Z.shape[0]:
-        raise MetricError("label count does not match batch size")
-    total = 0.0
-    for c in np.unique(labels):
-        Zc = Z[labels == c]
-        if Zc.shape[0] == 0:
-            raise MetricError(f"empty class {c}")
-        d = Zc - Zc.mean(axis=0)
-        total += float(np.sum(np.sqrt(np.sum(d * d, axis=1))))
-    return total / Z.shape[0]
-
-
 def kl_via_duals(C, f, g, epsilon):
     """KL(I || plan) recovered from the dual potentials alone.
 

@@ -17,7 +17,7 @@ from .losses import (
     rince_proximal_form,
 )
 from .metrics import kl_via_duals
-from .solver import SolverOptions, default_marginals, dual_objective, sinkhorn
+from .solver import SolverOptions, default_marginals, dual_objectives, sinkhorn
 from .uot import UotOptions, unbalanced_sinkhorn
 
 TOLERANCES = {
@@ -76,9 +76,7 @@ def kl_dual_identity(K, solved):
 def dual_objective_monotone(K, solved):
     """The worst drop of the unit-marginal dual objective between half-steps."""
     traj = solved[2]
-    marg = default_marginals(K.shape[0])
-    duals = [dual_objective(traj.f[h], traj.g[h], K.cost, K.epsilon, marg)
-             for h in range(traj.n_half)]
+    duals = dual_objectives(traj.f, traj.g, K, default_marginals(K.shape[0]))
     return max((a - b for a, b in zip(duals, duals[1:])), default=0.0)
 
 

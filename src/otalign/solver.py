@@ -1,4 +1,4 @@
-"""Balanced entropic OT: Bregman projections, stabilized Sinkhorn, diagnostics."""
+"""Balanced entropic OT: stabilized Sinkhorn and its diagnostics."""
 
 import numbers
 from dataclasses import dataclass, field
@@ -9,7 +9,6 @@ from . import _backends
 from .errors import OtalignError
 from .kernel import GibbsKernel
 
-DUAL_BLOCK_ELEMENTS = 1 << 16  # float64 entries per block in dual_objective
 DUAL_CHUNK_ROWS = 8  # half-steps per product with K in dual_objectives
 
 
@@ -122,31 +121,6 @@ class Trajectory:
         return _gibbs_plan(fh, gh, self.cost, self.epsilon)
 
 
-def _as_matrix(P):
-    if isinstance(P, GibbsKernel):
-        return P.matrix
-    if isinstance(P, TransportPlan):
-        return P.matrix
-    return np.asarray(P, dtype=np.float64)
-
-
-def project_rows(P, mu):
-    """KL projection onto the row-marginal set: diag(mu / (P @ 1)) @ P."""
-    P = _as_matrix(P)
-    sums = P.sum(axis=1)
-    if np.any(sums <= 0):
-        raise SolverError("zero row sum in projection")
-    return (np.asarray(mu) / sums)[:, None] * P
-
-
-def project_cols(P, nu):
-    P = _as_matrix(P)
-    sums = P.sum(axis=0)
-    if np.any(sums <= 0):
-        raise SolverError("zero column sum in projection")
-    return P * (np.asarray(nu) / sums)[None, :]
-
-
 def check_kernel(Km):
     """Raise SolverError unless every kernel entry is positive and finite."""
     if not (np.min(Km) > 0 and np.max(Km) < np.inf):
@@ -214,7 +188,10 @@ def hilbert_metric(u, u_star):
 
 
 def marginal_error(P, marginals):
-    P = _as_matrix(P)
+    """L1 gaps (rows, columns) between P's sums and the marginals."""
+    if isinstance(P, (GibbsKernel, TransportPlan)):
+        P = P.matrix
+    P = np.asarray(P, dtype=np.float64)
     mu = np.asarray(marginals.mu)
     nu = np.asarray(marginals.nu)
     if P.shape != (mu.size, nu.size):
@@ -225,34 +202,12 @@ def marginal_error(P, marginals):
     )
 
 
-def dual_objective(f, g, C, epsilon, marginals):
-    """Discrete EOT dual E[f + g - eps*e^{(f+g-C)/eps}] + eps.
+def dual_objectives(F, G, K: GibbsKernel, marginals):
+    """The discrete EOT dual E[f + g - eps*e^{(f+g-C)/eps}] + eps of every
+    row pair (f, g) = (F[h], G[h]), through products with K.
 
     The expectation is over the product of the marginals normalized to
     probability vectors.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
-    mu = np.asarray(marginals.mu, dtype=np.float64)
-    nu = np.asarray(marginals.nu, dtype=np.float64)
-    if C.shape != (f.size, g.size) or mu.size != f.size or nu.size != g.size:
-        raise SolverError("dual_objective shape mismatch")
-    mh = mu / mu.sum()
-    nh = nu / nu.sum()
-    lin = float(f @ mh + g @ nh)
-    # row blocks of about 512 KiB instead of one B x B temporary per call:
-    # the CLI evaluates this at every half-step of a solve
-    rows = max(1, DUAL_BLOCK_ELEMENTS // max(g.size, 1))
-    expected = 0.0
-    for s in range(0, f.size, rows):
-        blk = slice(s, s + rows)
-        expected += float(mh[blk] @ _gibbs_plan(f[blk], g, C[blk], epsilon) @ nh)
-    return lin - epsilon * expected + epsilon
-
-
-def dual_objectives(F, G, K: GibbsKernel, marginals):
-    """``dual_objective`` of every row pair (F[h], G[h]) through products with K.
 
     exp((f_i + g_j - C_ij)/eps) = e^{f_i/eps} K_ij e^{g_j/eps}, so the
     expectation is (mu^ e^{(f-c)/eps})' K (nu^ e^{(g+c)/eps}) for any shift c.

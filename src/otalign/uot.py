@@ -103,32 +103,3 @@ def unbalanced_sinkhorn(K: GibbsKernel, marginals=None, opts=None):
         matrix=P, epsilon=K.epsilon, converged=False, row_residual=rr, col_residual=cr
     )
     return plan, state
-
-
-def generalized_kl(a, b, floor=1e-30):
-    """sum a*log(a/b) - a + b with the 0*log0 = 0 convention."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if np.any(a < 0) or np.any(b < 0):
-        raise SolverError("generalized KL needs non-negative arguments")
-    mask = a > 0
-    term = np.zeros_like(a)
-    term[mask] = a[mask] * (np.log(a[mask]) - np.log(np.maximum(b[mask], floor)))
-    return float(term.sum() - a.sum() + b.sum())
-
-
-def uot_objective(P, C, epsilon, marginals, lambda1, lambda2):
-    """<P,C> + lam1*KL(P1|mu) + lam2*KL(P'1|nu) + eps*sum P log P."""
-    P = np.asarray(P.matrix if isinstance(P, TransportPlan) else P, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
-    mu = np.asarray(marginals.mu, dtype=np.float64)
-    nu = np.asarray(marginals.nu, dtype=np.float64)
-    if np.any(P < 0):
-        raise SolverError("plan entries must be non-negative")
-    ent = float(np.sum(np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)))
-    return (
-        float(np.sum(P * C))
-        + lambda1 * generalized_kl(P.sum(axis=1), mu)
-        + lambda2 * generalized_kl(P.sum(axis=0), nu)
-        + epsilon * ent
-    )

@@ -1,5 +1,8 @@
 """Textbook dense formulas for the kernel and the InfoNCE losses, with
-their rounding-error bounds.
+their rounding-error bounds, and for two transport objectives:
+``dual_objective``, the entropic OT dual that ``solver.dual_objectives``
+evaluates through products with K, and ``uot_objective``, the unbalanced
+objective whose minimizer ``unbalanced_sinkhorn`` approaches.
 
 Each formula is written as it reads, with fresh B x B arrays, and runs in
 any float dtype: in float64 it is the formula the library's fused code is
@@ -148,6 +151,26 @@ def rince_proximal_form_error(Z1, Z2, eps, q, lam):
     else:
         neg = rel_neg = 0.0
     return (np.sum(rel_neg * neg + rel_pos * pos) + (B + 2) * U * np.sum(neg + pos)) / q
+
+
+def dual_objective(f, g, C, eps, marginals):
+    """E[f + g - eps e^{(f+g-C)/eps}] + eps, the expectation over the
+    product of the marginals normalized to probability vectors."""
+    mh = marginals.mu / marginals.mu.sum()
+    nh = marginals.nu / marginals.nu.sum()
+    plan = np.exp((f[:, None] + g[None, :] - C) / eps)
+    return f @ mh + g @ nh - eps * (mh @ plan @ nh) + eps
+
+
+def uot_objective(P, C, eps, marginals, lambda1, lambda2):
+    """<P, C> + lambda1 KL(P 1 | mu) + lambda2 KL(P' 1 | nu) + eps sum P log P
+    for a positive plan P, with KL(a | b) = sum a log(a / b) - a + b."""
+
+    def kl(a, b):
+        return np.sum(a * np.log(a / b) - a + b)
+
+    return (np.sum(P * C) + lambda1 * kl(P.sum(axis=1), marginals.mu)
+            + lambda2 * kl(P.sum(axis=0), marginals.nu) + eps * np.sum(P * np.log(P)))
 
 
 def long_double(*arrays):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from otalign import cli, properties
 from otalign.cli import main
 from otalign.losses import LOSS_FUNCTIONS
@@ -52,7 +53,7 @@ def test_solve_diagnostics_dual_trajectory(cost_file, tmp_path):
 
 def test_solve_diagnostics_equal_pointwise_dual_objectives(cost_file, tmp_path):
     from otalign.kernel import gibbs_kernel
-    from otalign.solver import Marginals, SolverOptions, dual_objective, sinkhorn
+    from otalign.solver import Marginals, SolverOptions, sinkhorn
 
     mu = tmp_path / "mu.csv"
     mu.write_text("2\n2\n")
@@ -67,7 +68,7 @@ def test_solve_diagnostics_equal_pointwise_dual_objectives(cost_file, tmp_path):
     m = Marginals(mu=np.array([2.0, 2.0]), nu=np.array([1.0, 3.0]))
     opts = SolverOptions(max_iterations=1000, tolerance=1e-9, mode="tolerance")
     _, _, traj = sinkhorn(gibbs_kernel(C, 0.3), m, opts)
-    want = [dual_objective(traj.f[h], traj.g[h], C, 0.3, m) for h in range(traj.n_half)]
+    want = [dense.dual_objective(traj.f[h], traj.g[h], C, 0.3, m) for h in range(traj.n_half)]
     assert len(duals) == len(want) > 2
     assert np.allclose(duals, want, rtol=1e-12, atol=0.0)
 
@@ -297,6 +298,27 @@ def test_train_sweep_alpha(capsys):
     rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert [r["alpha"] for r in rows] == [0.0, 0.5]
     assert all({"class_accuracy", "domain_accuracy"} <= set(r) for r in rows)
+
+
+def test_metric_registry_is_what_train_writes(tmp_path, capsys):
+    from otalign.matio import METRIC_REGISTRY
+
+    metrics = str(tmp_path / "m.jsonl")
+    tiny = ["--epochs", "1", "--batch", "32", "--classes", "2", "--dim", "8",
+            "--n-per-cell", "20", "--metrics", metrics]
+    assert main(["train", "--loss", "ince", *tiny]) == 0
+    assert main(["train", "--sweep-alpha", "0,0.5", "--domains", "2", *tiny]) == 0
+    capsys.readouterr()
+    written = set().union(*(json.loads(line) for line in open(metrics)))
+    assert written == METRIC_REGISTRY
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_rejects_an_empty_suite(n, capsys):
+    assert main(["verify", "--n", n]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "--n" in err
+    assert out == ""
 
 
 def test_verify_reports_known_failure(tmp_path, capsys):

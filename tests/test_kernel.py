@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 import dense_reference as dense
 from otalign.kernel import (
     KernelError,
-    byol_kernel,
     cosine_cost,
     cosine_kernel,
     gibbs_kernel,
     normalize_rows,
-    sqeuclidean_cost,
 )
 
 
@@ -43,18 +41,6 @@ def test_cosine_cost_orthonormal():
 def test_cosine_cost_shape_mismatch():
     with pytest.raises(KernelError, match="shape mismatch"):
         cosine_cost(np.ones((2, 3)), np.ones((3, 3)))
-
-
-def test_sqeuclidean_matches_cosine_on_sphere(unit_batch):
-    Z1 = unit_batch(5, 7)
-    Z2 = unit_batch(5, 7)
-    assert np.allclose(sqeuclidean_cost(Z1, Z2), 2.0 * cosine_cost(Z1, Z2), atol=1e-12)
-
-
-def test_sqeuclidean_known_values():
-    A = np.array([[0.0, 0.0], [3.0, 4.0]])
-    C = sqeuclidean_cost(A, A)
-    assert np.allclose(C, [[0.0, 25.0], [25.0, 0.0]])
 
 
 def test_gibbs_kernel_oracle():
@@ -139,13 +125,6 @@ def test_cosine_kernel_is_as_accurate_as_the_cost_kernel(rng):
 def test_gibbs_kernel_rejects_bad_epsilon():
     with pytest.raises(KernelError, match="epsilon must be positive"):
         gibbs_kernel(np.zeros((2, 2)), 0.0)
-
-
-def test_byol_kernel_orthogonal_pair():
-    Q = np.array([[1.0, 0.0]])
-    Z = np.array([[0.0, 1.0]])
-    S = byol_kernel(Q, Z)
-    assert np.allclose(S.matrix, np.exp(-np.sqrt(2.0)), atol=1e-14)
 
 
 @settings(max_examples=50, deadline=None)

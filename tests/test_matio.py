@@ -210,11 +210,11 @@ def test_bin_truncated_payload(tmp_path):
 
 def test_jsonl_append_and_format(tmp_path):
     p = tmp_path / "m.jsonl"
-    append_metrics_jsonl({"step": 0, "loss": 1.5}, p)
-    append_metrics_jsonl({"step": 1, "loss": 1.25}, p)
+    append_metrics_jsonl({"loss": 1.5, "epoch": 0}, p)
+    append_metrics_jsonl({"epoch": 1, "loss": 1.25}, p)
     lines = p.read_text().splitlines()
-    assert lines[0] == '{"loss":1.5,"step":0}'
-    assert json.loads(lines[1]) == {"loss": 1.25, "step": 1}
+    assert lines[0] == '{"epoch":0,"loss":1.5}'
+    assert json.loads(lines[1]) == {"epoch": 1, "loss": 1.25}
 
 
 def test_jsonl_integral_floats_written_as_ints(tmp_path):

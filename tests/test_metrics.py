@@ -5,7 +5,6 @@ from otalign.kernel import gibbs_kernel, normalize_rows
 from otalign.metrics import (
     MetricError,
     alignment_loss,
-    compactness,
     kl_via_duals,
     uniformity_loss,
 )
@@ -62,22 +61,6 @@ def test_uniformity_matches_the_pairwise_formula(rng, n):
 def test_uniformity_needs_two_samples():
     with pytest.raises(MetricError, match="at least two"):
         uniformity_loss(np.ones((1, 3)), 1.0)
-
-
-def test_compactness_oracle():
-    # one class at +e1 and -e1: centroid is the origin, mean distance 1
-    Z = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert np.isclose(compactness(Z, [0, 0]), 1.0)
-
-
-def test_compactness_zero_for_point_classes():
-    Z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert compactness(Z, [0, 0, 1]) == 0.0
-
-
-def test_compactness_label_mismatch():
-    with pytest.raises(MetricError, match="label count"):
-        compactness(np.ones((3, 2)), [0, 1])
 
 
 def test_kl_via_duals_matches_direct(rng, unit_batch):

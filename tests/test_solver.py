@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
 from otalign import properties
 from otalign.kernel import GibbsKernel, cosine_cost, gibbs_kernel, normalize_rows
 from otalign.solver import (
@@ -10,12 +11,9 @@ from otalign.solver import (
     SolverError,
     SolverOptions,
     default_marginals,
-    dual_objective,
     dual_objectives,
     hilbert_metric,
     marginal_error,
-    project_cols,
-    project_rows,
     sinkhorn,
 )
 from otalign.uot import unbalanced_sinkhorn
@@ -49,27 +47,6 @@ def test_options_validation():
         SolverOptions(tolerance=-1.0)
     with pytest.raises(SolverError, match="unknown mode"):
         SolverOptions(mode="adaptive")
-
-
-def test_project_rows_oracle():
-    K = np.array([[3.0, 1.0], [1.0, 1.0]])
-    P = project_rows(K, np.ones(2))
-    assert np.allclose(P, [[0.75, 0.25], [0.5, 0.5]])
-    assert np.allclose(P.sum(axis=1), 1.0)
-
-
-def test_project_cols_oracle():
-    K = np.array([[3.0, 1.0], [1.0, 1.0]])
-    P = project_cols(K, np.ones(2))
-    assert np.allclose(P.sum(axis=0), 1.0)
-    assert np.allclose(P, [[0.75, 0.5], [0.25, 0.5]])
-
-
-def test_projection_rejects_zero_sum():
-    with pytest.raises(SolverError, match="zero row sum"):
-        project_rows(np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones(2))
-    with pytest.raises(SolverError, match="zero column sum"):
-        project_cols(np.array([[0.0, 1.0], [0.0, 1.0]]), np.ones(2))
 
 
 def test_sinkhorn_symmetric_kernel_closed_form():
@@ -187,11 +164,11 @@ def test_dual_objective_optimum_dominates_perturbations(rng):
     # the dual takes its expectation under the normalized marginals, so
     # stationarity needs exp((f+g-C)/eps) row sums of B; shift f accordingly
     f = state.f + K.epsilon * np.log(8.0)
-    base = dual_objective(f, state.g, K.cost, K.epsilon, m)
+    base = dense.dual_objective(f, state.g, K.cost, K.epsilon, m)
     for _ in range(20):
         df = 1e-3 * rng.standard_normal(8)
         dg = 1e-3 * rng.standard_normal(8)
-        assert dual_objective(f + df, state.g + dg, K.cost, K.epsilon, m) <= base + 1e-12
+        assert dense.dual_objective(f + df, state.g + dg, K.cost, K.epsilon, m) <= base + 1e-12
 
 
 @pytest.mark.xfail(
@@ -219,20 +196,6 @@ def test_plan_positive_and_residuals_shrink(B, eps, seed):
     # column residual after each full sweep never grows
     ce = traj.col_err[1::2]
     assert np.all(np.diff(ce) <= 1e-12)
-
-
-def test_dual_objective_blocks_match_dense_formula(rng):
-    # B=300 takes two row blocks; the dense expectation is written out here
-    K = random_kernel(rng, B=300, epsilon=0.3)
-    f = 0.1 * rng.standard_normal(300)
-    g = 0.1 * rng.standard_normal(300)
-    m = Marginals(mu=rng.uniform(0.5, 2.0, 300), nu=rng.uniform(0.5, 2.0, 300))
-    mh = m.mu / m.mu.sum()
-    nh = m.nu / m.nu.sum()
-    dense = np.exp((f[:, None] + g[None, :] - K.cost) / K.epsilon)
-    expected = f @ mh + g @ nh - K.epsilon * (mh @ dense @ nh) + K.epsilon
-    got = dual_objective(f, g, K.cost, K.epsilon, m)
-    assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
 def test_long_tolerance_solve_keeps_every_half_step(rng):
@@ -309,7 +272,7 @@ def test_dual_objectives_match_pointwise(rng, case):
         # final iteration means that absorption fired there
         top = np.maximum(traj.f[1:-2:2], traj.g[1:-2:2]).max()
         assert top > K.epsilon * np.log(opts.absorption_threshold)
-    ref = np.array([dual_objective(traj.f[h], traj.g[h], K.cost, K.epsilon, m)
+    ref = np.array([dense.dual_objective(traj.f[h], traj.g[h], K.cost, K.epsilon, m)
                     for h in range(traj.n_half)])
     got = dual_objectives(traj.f, traj.g, K, m)
     assert got.shape == (traj.n_half,)
