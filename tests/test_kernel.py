@@ -43,6 +43,22 @@ def test_cosine_cost_shape_mismatch():
         cosine_cost(np.ones((2, 3)), np.ones((3, 3)))
 
 
+def test_cosine_cost_is_half_the_squared_distance_on_the_sphere(unit_batch):
+    # for unit rows ||z1 - z2||^2 = 2 - 2 <z1, z2> = 2 C
+    Z1 = unit_batch(5, 7)
+    Z2 = unit_batch(5, 7)
+    sq = np.sum((Z1[:, None, :] - Z2[None, :, :]) ** 2, axis=2)
+    assert np.allclose(2.0 * cosine_cost(Z1, Z2), sq, atol=1e-12)
+
+
+def test_cosine_cost_clamps_to_zero_and_two():
+    # antipodal unit rows sit at the top of the range; rows longer than
+    # one would leave [0, 2] unclamped
+    Z1 = np.array([[1.0, 0.0], [2.0, 0.0]])
+    Z2 = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(cosine_cost(Z1, Z2), [[2.0, 0.0], [2.0, 0.0]])
+
+
 def test_gibbs_kernel_oracle():
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
     K = gibbs_kernel(C, 1.0)

@@ -34,6 +34,12 @@ def test_uniformity_antipodal_oracle():
     assert np.isclose(uniformity_loss(Z, 1.0), -4.0, atol=1e-12)
 
 
+def test_uniformity_orthonormal_oracle():
+    # every distinct pair of an orthonormal basis is at squared distance 2,
+    # epsilon 0.5 -> log e^{-1} = -1
+    assert np.isclose(uniformity_loss(np.eye(4), 0.5), -1.0, atol=1e-12)
+
+
 def test_uniformity_collapsed_batch_is_zero():
     Z = np.tile([[0.6, 0.8]], (5, 1))
     assert np.isclose(uniformity_loss(Z, 2.0), 0.0, atol=1e-12)

@@ -155,6 +155,30 @@ def test_marginal_error_oracle():
         marginal_error(P, default_marginals(3))
 
 
+def test_marginal_error_reads_plans_and_kernels(rng):
+    K = random_kernel(rng)
+    m = Marginals(mu=rng.uniform(0.5, 2.0, 8), nu=rng.uniform(0.5, 2.0, 8))
+    plan, _, _ = sinkhorn(K, m)
+    assert marginal_error(plan, m) == marginal_error(plan.matrix, m)
+    assert marginal_error(K, m) == marginal_error(K.matrix, m)
+
+
+def test_first_half_step_is_the_row_projection():
+    # K = [[3, 1], [1, 1]] scaled to unit row sums
+    _, _, traj = sinkhorn(kernel_from([[3.0, 1.0], [1.0, 1.0]]), opts=SolverOptions(max_iterations=1))
+    P = traj.plan_at(1)
+    assert np.allclose(P, [[0.75, 0.25], [0.5, 0.5]], atol=1e-12)
+    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_second_half_step_is_the_column_projection():
+    # the first half-step's plan, column sums (1.25, 0.75), scaled to unit column sums
+    _, _, traj = sinkhorn(kernel_from([[3.0, 1.0], [1.0, 1.0]]), opts=SolverOptions(max_iterations=1))
+    P = traj.plan_at(2)
+    assert np.allclose(P, [[0.6, 1.0 / 3.0], [0.4, 2.0 / 3.0]], atol=1e-12)
+    assert np.allclose(P.sum(axis=0), 1.0, atol=1e-12)
+
+
 def test_dual_objective_optimum_dominates_perturbations(rng):
     # at the converged potentials the dual is at a maximum
     K = random_kernel(rng)
@@ -276,6 +300,17 @@ def test_dual_objectives_match_pointwise(rng, case):
                     for h in range(traj.n_half)])
     got = dual_objectives(traj.f, traj.g, K, m)
     assert got.shape == (traj.n_half,)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_dual_objectives_match_the_dense_formula_off_trajectory(rng):
+    # potentials no solve produced, in a row count that ends on a partial chunk
+    K = random_kernel(rng, B=300, epsilon=0.3)
+    F = 0.1 * rng.standard_normal((11, 300))
+    G = 0.1 * rng.standard_normal((11, 300))
+    m = Marginals(mu=rng.uniform(0.5, 2.0, 300), nu=rng.uniform(0.5, 2.0, 300))
+    ref = np.array([dense.dual_objective(f, g, K.cost, K.epsilon, m) for f, g in zip(F, G)])
+    got = dual_objectives(F, G, K, m)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 

@@ -134,6 +134,11 @@ def test_generalized_kl_nonnegative_same_mass(rng):
         assert kl_plan_divergence(a, b) >= -1e-12
 
 
+def test_generalized_kl_rejects_mismatched_shapes():
+    with pytest.raises(LossError, match="shapes differ"):
+        kl_plan_divergence([1.0, 1.0], [1.0, 1.0, 1.0])
+
+
 def test_uot_objective_penalizes_marginal_gaps(rng):
     K = random_kernel(rng)
     m = default_marginals(8)
