@@ -58,6 +58,5 @@ from .train import (
     linear_probe,
     train_encoder,
 )
-from .uot import UotOptions, unbalanced_sinkhorn
 
 __version__ = "0.1.0"

@@ -2,37 +2,44 @@
 
 One loop serves balanced and unbalanced transport: balanced Sinkhorn is
 the lambda -> inf case of the KL-relaxed update, whose exponents are
-lambda / (lambda + eps).  The loop takes the cost either as an array or as
-a zero-argument function that builds it.  It reads the cost only at its
-first absorption, which rebuilds the kernel from the absorbed potentials,
-so a caller that holds only the kernel passes such a function and pays for
-the cost only when the scalings grow past the absorption threshold.
-Callers reach the loop as a module attribute (``_backends.sinkhorn_core``),
-so that a wrapper put in its place sees every call.
+lambda / (lambda + eps).  The loop reads its iteration count, stopping
+rule, absorption threshold, floor and penalties from one
+``solver.SolverOptions`` record.  It takes the cost either as an array or
+as a zero-argument function that builds it, and reads the cost only at
+its first absorption, which rebuilds the kernel from the absorbed
+potentials; so a caller that holds only the kernel passes such a function
+and pays for the cost only when the scalings grow past the absorption
+threshold.  Callers reach the loop as a module attribute
+(``_backends.sinkhorn_core``), so that a wrapper put in its place sees
+every call.
 """
 
 import numpy as np
 
 
-def sinkhorn_core(K, C, mu, nu, eps, max_iter, tau, floor, lam1=np.inf, lam2=np.inf,
-                  tol=None, record=False):
+def sinkhorn_core(K, C, mu, nu, eps, opts, record=False):
     """Gauss-Seidel scaling loop with log-domain absorption.
 
     Each iteration is a row update u = (mu / (K v))^(lam1/(lam1+eps))
-    followed by a column update of v in the same form; an infinite penalty
-    makes the exponent one, the balanced update.  Returns (f, g, g_prev,
-    col, trajectory, iterations): the total dual potentials, the column
+    followed by a column update of v in the same form, lam1 and lam2 being
+    ``opts.lambda1`` and ``opts.lambda2``; an infinite penalty makes the
+    exponent one, the balanced update.  Returns (f, g, g_prev, col,
+    trajectory, iterations): the total dual potentials, the column
     potential entering the final iteration, the column sums v * (K' u) of
     the final iteration taken before any absorption (which does not change
     the plan), the trajectory, and the number of iterations run.
 
     Only with ``record`` does the loop keep a trajectory: the potentials
     (F, G) and L1 marginal residuals of every half-step; otherwise it is
-    None.  With a ``tol`` the loop stops after the first iteration whose
-    row and column residuals are both within it.  ``C`` is the cost or a
-    function that builds it, called at most once.
+    None.  In ``"tolerance"`` mode the loop stops after the first
+    iteration whose row and column residuals are both within
+    ``opts.tolerance``.  ``C`` is the cost or a function that builds it,
+    called at most once.
     """
     B = K.shape[0]
+    lam1, lam2 = opts.lambda1, opts.lambda2
+    tau, floor = opts.absorption_threshold, opts.floor
+    tol = opts.tolerance if opts.mode == "tolerance" else None
     fi1 = 1.0 if lam1 == np.inf else lam1 / (lam1 + eps)
     fi2 = 1.0 if lam2 == np.inf else lam2 / (lam2 + eps)
     check = record or tol is not None
@@ -47,7 +54,7 @@ def sinkhorn_core(K, C, mu, nu, eps, max_iter, tau, floor, lam1=np.inf, lam2=np.
     F, G, row_err, col_err = [], [], [], []
     Kv = None  # K v when the residual check has it for the next row update
     iters = 0
-    for _ in range(max_iter):
+    for _ in range(opts.max_iterations):
         v_prev, ga_prev = v, ga
         if Kv is None:
             Kv = Kw @ v

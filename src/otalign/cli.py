@@ -32,7 +32,6 @@ from .train import (
     encoder_representation,
     train_encoder,
 )
-from .uot import UotOptions, unbalanced_sinkhorn
 
 
 class UsageError(Exception):
@@ -102,19 +101,16 @@ def cmd_solve(args):
 
 
 def cmd_uot(args):
-    if args.lambda1 < 0 or args.lambda2 < 0:
-        raise UsageError("marginal penalties must be non-negative")
     C, marg = _load_problem(args)
     K = gibbs_kernel(C, args.epsilon)
-    opts = UotOptions(
+    opts = SolverOptions(
+        max_iterations=args.iters,
+        absorption_threshold=args.tau,
         lambda1=args.lambda1,
         lambda2=args.lambda2,
-        epsilon=args.epsilon,
-        iterations=args.iters,
-        absorption_threshold=args.tau,
         column_normalize=not args.no_colnorm,
     )
-    plan, state = unbalanced_sinkhorn(K, marg, opts)
+    plan, state, _ = sinkhorn(K, marg, opts)
     _save_matrix(plan.matrix, args.out)
     print(json.dumps({"iterations": state.iterations,
                       "row_residual": plan.row_residual,

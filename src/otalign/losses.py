@@ -18,7 +18,6 @@ from .errors import OtalignError
 from .kernel import cosine_cost, cosine_kernel, scaled_similarity
 from .plans import check_batch_size
 from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel
-from .uot import UotOptions, _solve_scalings
 
 
 class LossError(OtalignError):
@@ -93,11 +92,9 @@ def _balanced_sweeps(K, cost, epsilon, n):
     """n balanced Sinkhorn iterations from v = 1 with unit marginals:
     (f, g, g_prev), g_prev being the column potential entering the last."""
     check_kernel(K)
-    opts = SolverOptions(max_iterations=n)
     ones = np.ones(K.shape[0])
     f, g, g_prev, _, _, iters = _backends.sinkhorn_core(
-        K, cost, ones, ones, epsilon,
-        opts.max_iterations, opts.absorption_threshold, opts.floor,
+        K, cost, ones, ones, epsilon, SolverOptions(max_iterations=n)
     )
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
         raise SolverError(f"overflow despite absorption at iteration {iters}")
@@ -351,11 +348,10 @@ def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
 
 
 @lru_cache(maxsize=64, typed=True)
-def _uot_options(lambda1, lambda2, epsilon, n_iters):
+def _uot_options(lambda1, lambda2, n_iters):
     """The scaling options of a gca-uot call, validated once per setting:
     they are frozen, so one object serves every call that shares them."""
-    return UotOptions(lambda1=lambda1, lambda2=lambda2, epsilon=epsilon, iterations=n_iters,
-                      column_normalize=False)
+    return SolverOptions(max_iterations=n_iters, lambda1=lambda1, lambda2=lambda2)
 
 
 def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
@@ -385,9 +381,10 @@ def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
             col = None
         else:
             ones = np.ones(K.shape[0])
-            log_u, log_v, log_v_prev, col, _ = _solve_scalings(
-                K, cost, epsilon, ones, ones, _uot_options(lambda1, lambda2, epsilon, n_iters)
+            f, g, g_prev, col, _, _ = _backends.sinkhorn_core(
+                K, cost, ones, ones, epsilon, _uot_options(lambda1, lambda2, n_iters)
             )
+            log_u, log_v, log_v_prev = f / epsilon, g / epsilon, g_prev / epsilon
         # the KL term enters -d(value)/dC as ck (P - T), ck = (1 - weight) / eps
         ck = (1.0 - weight) / epsilon
         kl, grad_z1, grad_z2, pull, u = _plan_kl(

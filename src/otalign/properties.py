@@ -18,7 +18,6 @@ from .losses import (
 )
 from .metrics import kl_via_duals
 from .solver import SolverOptions, default_marginals, dual_objectives, sinkhorn
-from .uot import UotOptions, unbalanced_sinkhorn
 
 TOLERANCES = {
     "ince_half_step_equivalence": 1e-10,
@@ -84,8 +83,6 @@ def uot_balanced_limit(K):
     """L1 distance between the 50-iteration unit-marginal plans, unbalanced
     at penalties 1e4 and balanced."""
     marg = default_marginals(K.shape[0])
-    opts = UotOptions(lambda1=1e4, lambda2=1e4, epsilon=K.epsilon, iterations=50,
-                      column_normalize=False)
-    uplan, _ = unbalanced_sinkhorn(K, marg, opts)
+    uplan, _, _ = sinkhorn(K, marg, SolverOptions(max_iterations=50, lambda1=1e4, lambda2=1e4))
     bplan, _, _ = sinkhorn(K, marg, SolverOptions(max_iterations=50))
     return np.sum(np.abs(uplan.matrix - bplan.matrix))

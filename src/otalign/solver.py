@@ -1,4 +1,11 @@
-"""Balanced entropic OT: stabilized Sinkhorn and its diagnostics."""
+"""Entropic OT, balanced and unbalanced: one stabilized scaling solve and
+its diagnostics.
+
+``sinkhorn`` serves both kinds of solve.  ``SolverOptions.lambda1`` and
+``lambda2`` are the KL penalties on the row and column marginals; at their
+default, infinity, the marginals are constraints and the solve is balanced
+Sinkhorn, its lambda -> inf limit.
+"""
 
 import numbers
 from dataclasses import dataclass, field
@@ -27,12 +34,6 @@ def default_marginals(B):
     return Marginals(mu=np.ones(B), nu=np.ones(B))
 
 
-def check_iteration_count(n):
-    """Raise SolverError unless n is an integer (a bool is not one)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise SolverError(f"iteration count must be an integer, got {n!r}")
-
-
 def check_marginals(shape, mu, nu):
     """Raise SolverError unless mu and nu are vectors sized to the kernel's
     sides with positive, finite entries."""
@@ -45,35 +46,40 @@ def check_marginals(shape, mu, nu):
         raise SolverError("marginal entries must be positive and finite")
 
 
-def check_square(shape):
-    """Raise SolverError unless the kernel is square: the scaling loops
-    keep one vector length for both sides."""
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise SolverError(f"the scaling loops need a square kernel, got shape {shape}")
-
-
 @dataclass(frozen=True)
 class SolverOptions:
+    """The options of one scaling solve.
+
+    ``lambda1`` and ``lambda2`` are the marginal penalties (infinite: a
+    balanced solve); ``column_normalize`` rescales the returned plan's
+    columns to nu exactly.  Every check is written so that NaN fails it.
+    """
+
     max_iterations: int = 5
     tolerance: float = 1e-6
     absorption_threshold: float = 1e3
     floor: float = 1e-30
     mode: str = "fixed"  # "fixed" | "tolerance"
+    lambda1: float = np.inf
+    lambda2: float = np.inf
+    column_normalize: bool = False
 
     def __post_init__(self):
-        check_iteration_count(self.max_iterations)
-        if self.max_iterations <= 0 or self.tolerance <= 0:
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise SolverError(f"iteration count must be an integer, got {n!r}")
+        if not (n > 0 and self.tolerance > 0):
             raise SolverError("iteration count and tolerance must be positive")
-        if self.absorption_threshold <= 0 or self.floor <= 0:
+        if not (self.absorption_threshold > 0 and self.floor > 0):
             raise SolverError("absorption threshold and floor must be positive")
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
+            raise SolverError("marginal penalties must be non-negative")
         if self.mode not in ("fixed", "tolerance"):
             raise SolverError(f"unknown mode: {self.mode}")
 
 
 @dataclass(frozen=True)
 class ScalingState:
-    u: np.ndarray
-    v: np.ndarray
     f: np.ndarray
     g: np.ndarray
     iterations: int
@@ -132,41 +138,42 @@ def sinkhorn(K: GibbsKernel, marginals=None, opts=None):
 
     Returns (TransportPlan, ScalingState, Trajectory).  One iteration is a
     row update followed by a column update; the trajectory records both
-    half-steps.
+    half-steps.  With finite penalties the updates are the KL-relaxed
+    ones, with exponents lambda/(lambda+eps); lambda = 0 leaves the
+    scalings at one.  With ``column_normalize`` the returned plan has its
+    columns rescaled to match nu exactly; the potentials and the
+    trajectory are reported before that normalization.  Only a balanced
+    solve checks the kernel up front; any solve raises SolverError if its
+    potentials are not finite.
     """
     if not isinstance(K, GibbsKernel):
         raise SolverError("sinkhorn expects a GibbsKernel")
-    Km = K.matrix
-    check_kernel(Km)
-    check_square(Km.shape)
-    B = Km.shape[0]
-    if marginals is None:
-        marginals = default_marginals(B)
     opts = opts or SolverOptions()
+    Km = K.matrix
+    if opts.lambda1 == np.inf and opts.lambda2 == np.inf:
+        check_kernel(Km)
+    # the scaling loop keeps one vector length for both sides
+    if Km.ndim != 2 or Km.shape[0] != Km.shape[1]:
+        raise SolverError(f"the scaling loops need a square kernel, got shape {Km.shape}")
+    if marginals is None:
+        marginals = default_marginals(Km.shape[0])
     mu = np.asarray(marginals.mu, dtype=np.float64)
     nu = np.asarray(marginals.nu, dtype=np.float64)
     check_marginals(Km.shape, mu, nu)
-    Km = np.ascontiguousarray(Km)
     f, g, _, _, (F, G, row_err, col_err), iters = _backends.sinkhorn_core(
-        Km,
-        np.ascontiguousarray(K.cost),
-        mu,
-        nu,
-        K.epsilon,
-        opts.max_iterations,
-        opts.absorption_threshold,
-        opts.floor,
-        tol=opts.tolerance if opts.mode == "tolerance" else None,
+        np.ascontiguousarray(Km), np.ascontiguousarray(K.cost), mu, nu, K.epsilon, opts,
         record=True,
     )
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
         raise SolverError(f"overflow despite absorption at iteration {iters}")
     traj = Trajectory(f=F, g=G, row_err=row_err, col_err=col_err, cost=K.cost, epsilon=K.epsilon)
     P = _gibbs_plan(f, g, K.cost, K.epsilon)
+    if opts.column_normalize:
+        csum = P.sum(axis=0)
+        if np.any(csum <= 0):
+            raise SolverError("zero column sum before normalization")
+        P *= (nu / csum)[None, :]
     rr, cr = marginal_error(P, marginals)
-    state = ScalingState(
-        u=np.exp(f / K.epsilon), v=np.exp(g / K.epsilon), f=f, g=g, iterations=int(iters)
-    )
     plan = TransportPlan(
         matrix=P,
         epsilon=K.epsilon,
@@ -174,7 +181,7 @@ def sinkhorn(K: GibbsKernel, marginals=None, opts=None):
         row_residual=rr,
         col_residual=cr,
     )
-    return plan, state, traj
+    return plan, ScalingState(f=f, g=g, iterations=int(iters)), traj
 
 
 def hilbert_metric(u, u_star):

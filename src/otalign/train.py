@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import OtalignError
 from .kernel import normalize_rows
-from .losses import LOSS_FUNCTIONS, LossError
+from .losses import LOSS_FUNCTIONS
 from .metrics import alignment_loss, uniformity_loss
 from .plans import block_domain_plan
 

@@ -2,7 +2,7 @@
 their rounding-error bounds, and for two transport objectives:
 ``dual_objective``, the entropic OT dual that ``solver.dual_objectives``
 evaluates through products with K, and ``uot_objective``, the unbalanced
-objective whose minimizer ``unbalanced_sinkhorn`` approaches.
+objective whose minimizer an unbalanced ``sinkhorn`` solve approaches.
 
 Each formula is written as it reads, with fresh B x B arrays, and runs in
 any float dtype: in float64 it is the formula the library's fused code is

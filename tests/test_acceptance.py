@@ -21,7 +21,6 @@ from otalign.train import (
     linear_probe,
     train_encoder,
 )
-from otalign.uot import UotOptions, unbalanced_sinkhorn
 
 
 def unit_pair(rng, B, d):
@@ -151,8 +150,8 @@ def test_unbalanced_limits_and_penalty_monotonicity():
         assert_holds("uot_balanced_limit", K)
 
         # zero penalties leave the kernel untouched up to the column fit
-        zplan, _ = unbalanced_sinkhorn(
-            K, marg, UotOptions(lambda1=0.0, lambda2=0.0, epsilon=0.5)
+        zplan, _, _ = sinkhorn(
+            K, marg, SolverOptions(lambda1=0.0, lambda2=0.0, column_normalize=True)
         )
         expect = K.matrix / K.matrix.sum(axis=0)[None, :]
         assert np.max(np.abs(zplan.matrix - expect)) <= 1e-12
@@ -160,9 +159,8 @@ def test_unbalanced_limits_and_penalty_monotonicity():
         # the row-marginal gap shrinks monotonically in the penalty
         gaps = []
         for lam in (1.0, 10.0, 100.0, 1e4):
-            opts = UotOptions(lambda1=lam, lambda2=lam, epsilon=0.5, iterations=30,
-                              column_normalize=False)
-            plan, _ = unbalanced_sinkhorn(K, marg, opts)
+            opts = SolverOptions(max_iterations=30, lambda1=lam, lambda2=lam)
+            plan, _, _ = sinkhorn(K, marg, opts)
             gaps.append(float(np.sum(np.abs(plan.matrix.sum(axis=1) - 1.0))))
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 

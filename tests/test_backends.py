@@ -3,6 +3,7 @@ import pytest
 
 from otalign import _backends
 from otalign.kernel import cosine_cost, gibbs_kernel, normalize_rows
+from otalign.solver import SolverOptions
 
 
 EPS = 0.05  # these batches absorb within the first iterations
@@ -25,9 +26,10 @@ def _counted(C):
     return build, calls
 
 
-def _core(Km, C, n, **kw):
+def _core(Km, C, n, record=False, **opts):
     ones = np.ones(Km.shape[0])
-    return _backends.sinkhorn_core(Km, C, ones, ones, EPS, n, 1e3, 1e-30, **kw)
+    return _backends.sinkhorn_core(Km, C, ones, ones, EPS, SolverOptions(max_iterations=n, **opts),
+                                   record=record)
 
 
 # the balanced loop is the lambda = inf case of the unbalanced one
@@ -36,9 +38,9 @@ def test_core_builds_the_cost_once_at_the_first_absorption(rng, lam):
     # the loop given a cost function must return what it returns given the cost
     for _ in range(5):
         Km, C = _inputs(rng)
-        want = _core(Km, C, 30, lam1=lam, lam2=lam, record=True)
+        want = _core(Km, C, 30, lambda1=lam, lambda2=lam, record=True)
         build, calls = _counted(C)
-        got = _core(Km, build, 30, lam1=lam, lam2=lam, record=True)
+        got = _core(Km, build, 30, lambda1=lam, lambda2=lam, record=True)
         assert len(calls) == 1
         for x, y in zip(got[:4] + got[4], want[:4] + want[4]):
             assert np.array_equal(x, y)
@@ -63,8 +65,9 @@ def test_record_free_potentials_are_the_last_two_half_steps(rng):
 
 def test_tolerance_stops_at_the_first_iteration_within_it(rng):
     Km, C = _inputs(rng)
-    *_, traj, iters = _core(Km, C, 500, tol=1e-9)
+    *_, traj, iters = _core(Km, C, 500, tolerance=1e-9, mode="tolerance")
     assert traj is None and iters < 500
-    _, _, _, _, (_, _, row_err, col_err), recorded = _core(Km, C, 500, tol=1e-9, record=True)
+    _, _, _, _, (_, _, row_err, col_err), recorded = _core(Km, C, 500, tolerance=1e-9,
+                                                           mode="tolerance", record=True)
     assert recorded == iters and row_err.shape == (2 * iters,)
     assert max(row_err[-1], col_err[-1]) <= 1e-9 < max(row_err[-3], col_err[-3])

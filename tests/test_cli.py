@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -192,6 +193,20 @@ def test_uot_rejects_negative_penalty(cost_file, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "{cost}", "--tol", "nan"], "tolerance must be positive"),
+    (["uot", "{cost}", "--tau", "nan"], "threshold and floor must be positive"),
+    (["uot", "{cost}", "--lambda2", "nan"], "non-negative"),
+])
+def test_nan_options_are_usage_errors(cost_file, tmp_path, capsys, argv, message):
+    # NaN fails every comparison, so it must fail the checks rather than
+    # run a solve that never stops early or never absorbs
+    out = str(tmp_path / "plan.csv")
+    assert main([a.format(cost=cost_file) for a in argv] + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_loss_prints_value(embedding_files, capsys):
     z1, z2 = embedding_files
     assert main(["loss", "--loss", "ince", z1, z2, "--epsilon", "0.5"]) == 0
@@ -211,7 +226,7 @@ def test_loss_matches_library(embedding_files, capsys):
 
 def test_loss_plan_out(embedding_files, tmp_path, capsys):
     from otalign.kernel import cosine_cost, gibbs_kernel
-    from otalign.uot import UotOptions, unbalanced_sinkhorn
+    from otalign.solver import SolverOptions, sinkhorn
 
     z1, z2 = embedding_files
     plan_path = str(tmp_path / "plan.csv")
@@ -221,7 +236,7 @@ def test_loss_plan_out(embedding_files, tmp_path, capsys):
     # column-normalized unbalanced plan at the CLI defaults
     assert main(["loss", "--loss", "gca-uot", z1, z2, "--plan-out", plan_path]) == 0
     K = gibbs_kernel(cosine_cost(read_matrix_csv(z1), read_matrix_csv(z2)), 0.5)
-    dense, _ = unbalanced_sinkhorn(K, opts=UotOptions(epsilon=0.5, iterations=5))
+    dense, _, _ = sinkhorn(K, opts=SolverOptions(lambda1=1.0, lambda2=1.0, column_normalize=True))
     assert np.allclose(read_matrix_csv(plan_path), dense.matrix, rtol=1e-12, atol=0.0)
 
 

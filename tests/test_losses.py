@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
-from otalign import properties
+from otalign import _backends, properties
 from otalign.kernel import (
     GibbsKernel,
     KernelError,
@@ -29,7 +29,6 @@ from otalign.losses import (
 )
 from otalign.plans import PlanError, block_domain_plan
 from otalign.solver import SolverError, SolverOptions, sinkhorn
-from otalign.uot import UotOptions, _solve_scalings
 
 
 def pair(rng, B=8, d=6):
@@ -188,6 +187,15 @@ def test_rince_validation():
         rince_loss(Z, Z, lam=-0.1)
     # lam = 0 is allowed (pure positive term)
     rince_loss(Z, Z, lam=0.0)
+
+
+@pytest.mark.parametrize("penalty", ["lambda1", "lambda2"])
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_gca_uot_rejects_a_penalty_that_is_not_non_negative(rng, penalty, bad):
+    # a NaN penalty fails the options check, before the scaling loop runs
+    Z1, Z2 = pair(rng)
+    with pytest.raises(SolverError, match="non-negative"):
+        gca_uot_loss(Z1, Z2, **{penalty: bad})
 
 
 def test_gca_uot_weight_limits(rng):
@@ -435,10 +443,10 @@ def test_gca_uot_matches_dense_formula(rng, name):
           "target": case.get("target"), "column_normalize": case.get("column_normalize", True)}
     res = gca_uot_loss(Z1, Z2, **kw)
     K = loss_kernel(Z1, Z2, eps)
-    opts = UotOptions(epsilon=eps, column_normalize=False)
-    log_u, log_v, log_v_prev, _, _ = _solve_scalings(
-        K.matrix, K.cost, eps, np.ones(len(Z1)), np.ones(len(Z1)), opts
-    )
+    opts = SolverOptions(lambda1=1.0, lambda2=1.0)
+    ones = np.ones(len(Z1))
+    f, g, g_prev, _, _, _ = _backends.sinkhorn_core(K.matrix, K.cost, ones, ones, eps, opts)
+    log_u, log_v, log_v_prev = f / eps, g / eps, g_prev / eps
     for key, want in (("log_u", log_u), ("log_v", log_v), ("log_v_prev", log_v_prev)):
         assert np.array_equal(res.frozen[key], want)
     if name == "absorbing":

@@ -16,7 +16,14 @@ from otalign.solver import (
     marginal_error,
     sinkhorn,
 )
-from otalign.uot import unbalanced_sinkhorn
+
+# the penalties of a balanced and of an unbalanced solve: both run the
+# same validation in ``sinkhorn``
+PENALTIES = pytest.mark.parametrize("lam", [np.inf, 1.0], ids=["balanced", "unbalanced"])
+
+
+def penalized(lam, **kw):
+    return SolverOptions(lambda1=lam, lambda2=lam, **kw)
 
 
 def kernel_from(matrix, epsilon=1.0):
@@ -42,11 +49,36 @@ def test_options_validation():
     with pytest.raises(SolverError, match="integer"):
         SolverOptions(max_iterations=2.5)
     with pytest.raises(SolverError, match="integer"):
+        SolverOptions(max_iterations=5.0)
+    with pytest.raises(SolverError, match="integer"):
         SolverOptions(max_iterations=True)
     with pytest.raises(SolverError):
         SolverOptions(tolerance=-1.0)
     with pytest.raises(SolverError, match="unknown mode"):
         SolverOptions(mode="adaptive")
+    with pytest.raises(SolverError, match="non-negative"):
+        SolverOptions(lambda1=-1.0)
+    with pytest.raises(SolverError, match="non-negative"):
+        SolverOptions(lambda2=-1e-300)
+    with pytest.raises(SolverError, match="must be positive"):
+        SolverOptions(absorption_threshold=0.0)
+    with pytest.raises(SolverError, match="must be positive"):
+        SolverOptions(floor=-1e-30)
+    # zero and infinite penalties are both valid
+    SolverOptions(lambda1=0.0, lambda2=np.inf)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("tolerance", "tolerance must be positive"),
+    ("absorption_threshold", "threshold and floor must be positive"),
+    ("floor", "threshold and floor must be positive"),
+    ("lambda1", "non-negative"),
+    ("lambda2", "non-negative"),
+])
+def test_options_reject_nan(field, message):
+    # every comparison with NaN is false, so each check is written to fail on it
+    with pytest.raises(SolverError, match=message):
+        SolverOptions(**{field: np.nan})
 
 
 def test_sinkhorn_symmetric_kernel_closed_form():
@@ -59,9 +91,10 @@ def test_sinkhorn_symmetric_kernel_closed_form():
     assert plan.row_residual < 1e-12 and plan.col_residual < 1e-12
 
 
-def test_sinkhorn_requires_kernel():
+@PENALTIES
+def test_sinkhorn_requires_kernel(lam):
     with pytest.raises(SolverError, match="GibbsKernel"):
-        sinkhorn(np.ones((2, 2)))
+        sinkhorn(np.ones((2, 2)), opts=penalized(lam))
 
 
 def test_sinkhorn_rejects_nonpositive_kernel():
@@ -69,6 +102,20 @@ def test_sinkhorn_rejects_nonpositive_kernel():
     bad = GibbsKernel(matrix=np.array([[1.0, 0.0], [1.0, 1.0]]), epsilon=1.0, cost=K.cost)
     with pytest.raises(SolverError, match="strictly positive"):
         sinkhorn(bad)
+
+
+def test_only_a_balanced_solve_checks_the_kernel(rng):
+    # at eps = 1e-3 part of this cosine kernel underflows to zero: the
+    # balanced solve rejects it up front, an unbalanced one returns a plan
+    Z1 = normalize_rows(rng.standard_normal((64, 8)))
+    Z2 = normalize_rows(rng.standard_normal((64, 8)))
+    K = gibbs_kernel(cosine_cost(Z1, Z2), 1e-3)
+    assert np.min(K.matrix) == 0.0
+    with pytest.raises(SolverError, match="strictly positive"):
+        sinkhorn(K)
+    plan, state, _ = sinkhorn(K, opts=penalized(1.0))
+    assert np.all(np.isfinite(plan.matrix))
+    assert np.all(np.isfinite(state.f)) and np.all(np.isfinite(state.g))
 
 
 def test_trajectory_shape_and_plan_at(rng):
@@ -236,34 +283,36 @@ def test_long_tolerance_solve_keeps_every_half_step(rng):
     assert np.allclose(traj.g[-1], state.g, atol=1e-12)
 
 
+@PENALTIES
 @pytest.mark.parametrize("mu_size, nu_size", [(7, 8), (8, 9), (1, 8)])
-def test_sinkhorn_rejects_marginals_of_the_wrong_size(rng, mu_size, nu_size):
+def test_sinkhorn_rejects_marginals_of_the_wrong_size(rng, mu_size, nu_size, lam):
     K = random_kernel(rng, B=8)
     m = Marginals(mu=np.ones(mu_size), nu=np.ones(nu_size))
     with pytest.raises(SolverError, match="do not fit"):
-        sinkhorn(K, m)
+        sinkhorn(K, m, penalized(lam))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 @pytest.mark.parametrize("side", ["mu", "nu"])
-@pytest.mark.parametrize("solve", [sinkhorn, unbalanced_sinkhorn])
-def test_solvers_reject_marginal_entries_that_are_not_positive_and_finite(rng, bad, side, solve):
+@PENALTIES
+def test_solvers_reject_marginal_entries_that_are_not_positive_and_finite(rng, bad, side, lam):
     # a bad entry fails at the check, never as an overflow after numpy warnings
     K = random_kernel(rng, B=8)
     vec = np.ones(8)
     vec[3] = bad
     m = Marginals(mu=vec, nu=np.ones(8)) if side == "mu" else Marginals(mu=np.ones(8), nu=vec)
     with pytest.raises(SolverError, match="marginal entries must be positive and finite"):
-        solve(K, m)
+        sinkhorn(K, m, penalized(lam))
 
 
-def test_sinkhorn_rejects_a_rectangular_kernel(rng):
+@PENALTIES
+def test_sinkhorn_rejects_a_rectangular_kernel(rng, lam):
     # marginals that fit both sides must not reach the core, whose vectors
     # have one length for both sides
     K = kernel_from(rng.uniform(0.1, 1.0, size=(5, 7)))
     m = Marginals(mu=np.ones(5), nu=np.ones(7))
     with pytest.raises(SolverError, match="square kernel"):
-        sinkhorn(K, m)
+        sinkhorn(K, m, penalized(lam))
 
 
 def _dual_case(rng, case):
