@@ -14,8 +14,9 @@ from typing import Callable
 import numpy as np
 
 from . import _backends
+from ._backends import row_views
 from .errors import OtalignError
-from .kernel import cosine_cost, cosine_kernel, scaled_similarity
+from .kernel import check_epsilon, cosine_cost, cosine_kernel
 from .plans import check_batch_size
 from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel
 
@@ -101,12 +102,30 @@ def _balanced_sweeps(K, cost, epsilon, n):
     return f, g, g_prev
 
 
+def _join(parts):
+    """The blocks of one array, joined; the one block itself if there is one."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _through_kernel(K, a, b, Z1, Z2):
     """P @ Z2 and P' @ Z1 for P = diag(a) K diag(b), without forming P.
 
-    P' @ Z1 is taken as ((a Z1)' K)': the product runs on the short side
-    instead of through the transpose of the B x B K."""
-    return a[:, None] * (K @ (b[:, None] * Z2)), b[:, None] * ((a[:, None] * Z1).T @ K).T
+    One read of K: each row block K_I gives its rows of P @ Z2 and adds
+    its part of P' @ Z1 while it is still in cache.  ``a`` is the row
+    scaling, or a function that maps a block's (first row, K_I b) to its
+    rows of the scaling.  P' @ Z1 is taken as ((a Z1)' K)': the product
+    runs on the short side instead of through the transpose of K."""
+    rows = _backends.row_block(K.shape[0])
+    bZ2 = b[:, None] * Z2
+    PZ2, ZtP = [], None
+    for s, KI, Z1I in row_views(rows, K, Z1):
+        aI = (a(s, KI @ b) if callable(a) else a[s:s + KI.shape[0]])[:, None]
+        PZ2.append(aI * (KI @ bZ2))
+        if ZtP is None:
+            ZtP = (aI * Z1I).T @ KI
+        else:
+            ZtP += (aI * Z1I).T @ KI
+    return _join(PZ2), b[:, None] * ZtP.T
 
 
 def _plan_kl(K, log_u, log_v, c_diag, epsilon, T, cost, Z1, Z2, ck, col=None,
@@ -155,10 +174,11 @@ def _check_finite(value, grad_z1, grad_z2):
 
 
 def _check_rince(q, lam):
+    """Raise LossError unless 0 < q <= 1 and lam >= 0; NaN fails both."""
     if not (0 < q <= 1):
         raise LossError("q must lie in (0, 1]")
-    if lam < 0:
-        raise LossError("lam must be non-negative")
+    if not (lam >= 0):
+        raise LossError(f"lam must be non-negative, got {lam}")
 
 
 def kl_plan_divergence(target, P, floor=1e-300):
@@ -178,15 +198,40 @@ def kl_plan_divergence(target, P, floor=1e-300):
     return float(term.sum() - target.sum() + P.sum())
 
 
-def _shifted_exp(Z1, Z2, epsilon):
-    """(E, diag s, m, row sums of E) for E = exp(s - m), s = Z1 Z2' / eps
-    and m its row maxima, in one B x B buffer."""
-    E = scaled_similarity(Z1, Z2, epsilon)
-    s_diag = np.diagonal(E).copy()
-    m = E.max(axis=1)
-    E -= m[:, None]
-    np.exp(E, out=E)
-    return E, s_diag, m, E.sum(axis=1)
+def _softmax_pass(Z1, Z2, epsilon, row_weight, plan=None):
+    """One pass over the row blocks of E = exp(S - m), S = Z1 Z2' / eps and
+    m its row maxima; no B x B array outlives its block.
+
+    Returns (lse, s_diag, G1, G2): lse = log(row sums of E) + m and S's
+    diagonal as full-length vectors, G1 = diag(w) E Z2 and G2 = E' diag(w) Z1,
+    w being row_weight(m_I, sums_I, lse_I) on each block I.  With ``plan``
+    the pass writes the softmax rows E_I / sums_I into the plan's rows
+    instead, and G1 and G2 are None.
+    """
+    check_epsilon(epsilon)
+    rows = _backends.row_block(Z1.shape[0])
+    lse, s_diag, G1, G2 = [], [], [], None
+    for s, ZsI, Z1I in row_views(rows, Z1 * (1.0 / epsilon), Z1):
+        E = ZsI @ Z2.T if plan is None else np.matmul(ZsI, Z2.T, out=plan[s:s + rows])
+        s_diag.append(np.diagonal(E, s).copy())
+        m = E.max(axis=1)
+        E -= m[:, None]
+        np.exp(E, out=E)
+        sums = E.sum(axis=1)
+        lse.append(np.log(sums) + m)
+        if plan is not None:
+            np.divide(E, sums[:, None], out=E)
+            continue
+        w = row_weight(m, sums, lse[-1])[:, None]
+        g1 = E @ Z2
+        g1 *= w
+        G1.append(g1)
+        # E_I' (w Z1_I) as ((w Z1_I)' E_I)', on the d x B side
+        if G2 is None:
+            G2 = (w * Z1I).T @ E
+        else:
+            G2 += (w * Z1I).T @ E
+    return _join(lse), _join(s_diag), _join(G1) if G1 else None, None if G2 is None else G2.T
 
 
 def ince_loss(Z1, Z2, epsilon=0.5):
@@ -195,23 +240,21 @@ def ince_loss(Z1, Z2, epsilon=0.5):
     sum_i [-s_ii + log sum_j exp(s_ij)] with s = Z1 Z2' / epsilon.
     """
     Z1, Z2 = _check_batch(Z1, Z2)
-    # E stays unnormalized: the softmax P = diag(w) E, w = 1 / rowsum, is
-    # applied on the B x d side
-    E, s_diag, m, sums = _shifted_exp(Z1, Z2, epsilon)
-    value = float(np.sum(np.log(sums) + m - s_diag))
-    w = (1.0 / sums)[:, None]
-    grad_z1 = E @ Z2
-    grad_z1 *= w
+    # E = exp(s - m) stays unnormalized: the softmax P = diag(w) E,
+    # w = 1 / rowsum, is applied on the B x d side
+    lse, s_diag, grad_z1, grad_z2 = _softmax_pass(Z1, Z2, epsilon, lambda m, sums, lse: 1.0 / sums)
+    value = float((lse - s_diag).sum())
     grad_z1 -= Z2
     grad_z1 /= epsilon
-    grad_z2 = ((w * Z1).T @ E).T  # P' Z1 = E' (w Z1)
     grad_z2 -= Z1
     grad_z2 /= epsilon
     _check_finite(value, grad_z1, grad_z2)
 
     def make_plan():
-        # softmax rows exp(s - lse), normalized in place: ``plan`` calls this once
-        return np.divide(E, sums[:, None], out=E)
+        # the softmax rows exp(s - lse), from the same pass: ``plan`` calls this once
+        P = np.empty((Z1.shape[0], Z1.shape[0]))
+        _softmax_pass(Z1, Z2, epsilon, None, plan=P)
+        return P
 
     return LossResult(value=value, grad_z1=grad_z1, grad_z2=grad_z2, make_plan=make_plan)
 
@@ -267,26 +310,25 @@ def rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):
     # overflow at small epsilon is reported by the output check, not by
     # numpy's warnings on the way there
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        E, _, m, sums = _shifted_exp(Z1, Z2, epsilon)
-        # s_ii from the row dot products, not from E's GEMM: the rounding of
-        # the 1/eps folded there moves every s_ii the same way, and
-        # sum_i e^{q s_ii}, unlike ince's lse_i - s_ii, does not cancel it
+        # s_ii from the row dot products, not from the similarity's GEMM: the
+        # rounding of the 1/eps folded there moves every s_ii the same way,
+        # and sum_i e^{q s_ii}, unlike ince's lse_i - s_ii, does not cancel it
         s_diag = np.einsum("ij,ij->i", Z1, Z2)
         s_diag /= epsilon
         if lam > 0:
-            lse = np.log(sums) + m
-            neg = np.exp(q * (lse + np.log(lam)))
             # d(value)/d(s_ij) = r_i E_ij - pos_i [i == j], with the row
             # factor r = exp((q - 1) lse + m + q log lam) applied on the B x d side
-            r = np.exp((q - 1.0) * lse + m + q * np.log(lam))[:, None]
-            grad_z1 = E @ Z2
-            grad_z1 *= r
-            grad_z2 = ((r * Z1).T @ E).T
+            lse, _, grad_z1, grad_z2 = _softmax_pass(
+                Z1, Z2, epsilon, lambda m, sums, lse: np.exp((q - 1.0) * lse + m + q * np.log(lam))
+            )
+            neg = np.exp(q * (lse + np.log(lam)))
         else:
+            # the value and gradients need no similarity beyond s_ii
+            check_epsilon(epsilon)
             neg = 0.0
             grad_z1 = grad_z2 = 0.0
         pos = np.exp(q * s_diag)
-        value = float(np.sum(neg - pos) / q)
+        value = float((neg - pos).sum() / q)
         grad_z1 = (grad_z1 - pos[:, None] * Z2) / epsilon
         grad_z2 = (grad_z2 - pos[:, None] * Z1) / epsilon
     _check_finite(value, grad_z1, grad_z2)
@@ -324,21 +366,29 @@ def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
     Z1, Z2, T, K, _, cost = _gca_batch(Z1, Z2, epsilon, target)
     if frozen is not None:
         v_prev = frozen["v_prev"]
-    elif n_iters >= 2:
+    # n_iters is checked as gca-ince's sweeps check it
+    elif _scaling_options(np.inf, np.inf, n_iters).max_iterations >= 2:
         _, g, _ = _balanced_sweeps(K, cost, epsilon, n_iters - 1)
         v_prev = np.exp(g / epsilon)
         if not np.all(np.isfinite(v_prev)):
             raise SolverError(f"overflow despite absorption at iteration {n_iters - 1}")
     else:
         v_prev = np.ones(K.shape[0])
-    Kv = K @ v_prev
+    t_diag = None if T is None else np.diagonal(T)
+    negs = []
+
+    def row_scale(s, Kv):
+        # a = neg / (K v), block by block, with neg = (lam t_ii K v)^q
+        t = 1.0 if T is None else t_diag[s:s + Kv.shape[0]]
+        negs.append((lam * t * Kv) ** q if lam > 0 else np.zeros_like(Kv))
+        return negs[-1] / np.maximum(Kv, 1e-300)
+
+    # -d(value)/dC = (a_i K_ij v_j - pos_i [i == j]) / eps: repulsion
+    # through K v, attraction on the diagonal; one read of K gives K v and
+    # both products
+    PZ2, PtZ1 = _through_kernel(K, row_scale, v_prev, Z1, Z2)
     pos = (np.diagonal(K) * v_prev) ** q
-    t_diag = 1.0 if T is None else np.diagonal(T)
-    neg = (lam * t_diag * Kv) ** q if lam > 0 else np.zeros_like(pos)
-    value = float(np.sum(neg - pos) / q)
-    # -d(value)/dC = (a_i K_ij v_j - pos_i [i == j]) / eps with a = neg / (K v):
-    # repulsion through K v, attraction on the diagonal
-    PZ2, PtZ1 = _through_kernel(K, neg / np.maximum(Kv, 1e-300), v_prev, Z1, Z2)
+    value = float((_join(negs) - pos).sum() / q)
     d = pos / epsilon
     grad_z1 = PZ2 / epsilon - d[:, None] * Z2
     grad_z2 = PtZ1 / epsilon - d[:, None] * Z1
@@ -348,8 +398,8 @@ def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
 
 
 @lru_cache(maxsize=64, typed=True)
-def _uot_options(lambda1, lambda2, n_iters):
-    """The scaling options of a gca-uot call, validated once per setting:
+def _scaling_options(lambda1, lambda2, n_iters):
+    """The scaling options of a gca-* call, validated once per setting:
     they are frozen, so one object serves every call that shares them."""
     return SolverOptions(max_iterations=n_iters, lambda1=lambda1, lambda2=lambda2)
 
@@ -382,7 +432,7 @@ def gca_uot_loss(Z1, Z2, epsilon=0.5, lambda1=1.0, lambda2=1.0, q=0.98,
         else:
             ones = np.ones(K.shape[0])
             f, g, g_prev, col, _, _ = _backends.sinkhorn_core(
-                K, cost, ones, ones, epsilon, _uot_options(lambda1, lambda2, n_iters)
+                K, cost, ones, ones, epsilon, _scaling_options(lambda1, lambda2, n_iters)
             )
             log_u, log_v, log_v_prev = f / epsilon, g / epsilon, g_prev / epsilon
         # the KL term enters -d(value)/dC as ck (P - T), ck = (1 - weight) / eps

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from otalign import _backends
-from otalign.kernel import cosine_cost, gibbs_kernel, normalize_rows
-from otalign.solver import SolverOptions
+from otalign.kernel import GibbsKernel, cosine_cost, gibbs_kernel, normalize_rows
+from otalign.solver import SolverOptions, sinkhorn
 
 
 EPS = 0.05  # these batches absorb within the first iterations
@@ -71,3 +71,36 @@ def test_tolerance_stops_at_the_first_iteration_within_it(rng):
                                                            mode="tolerance", record=True)
     assert recorded == iters and row_err.shape == (2 * iters,)
     assert max(row_err[-1], col_err[-1]) <= 1e-9 < max(row_err[-3], col_err[-3])
+
+
+@pytest.mark.parametrize("rows", [8, 12], ids=["rule", "single-row"])
+@pytest.mark.parametrize("mode", ["fixed", "tolerance", "record"])
+@pytest.mark.parametrize("lam", [np.inf, 5.0], ids=["sinkhorn", "uot"])
+def test_row_blocks_leave_the_loop_as_it_is(rng, monkeypatch, rows, mode, lam):
+    # B=37 in blocks of 8 rows (the block rule at a smaller block: the last
+    # block has 5) or of 12 (the last has 1), against one block: the same
+    # iteration count and convergence, and the same numbers up to rounding.
+    # Both loops absorb, so the blocked kernel rebuild and damping run too
+    Km, C = _inputs(rng, B=37)
+    opts = {"lambda1": lam, "lambda2": lam}
+    if mode == "tolerance":
+        opts.update(mode="tolerance", tolerance=1e-9)
+    build, calls = _counted(C)
+    run = lambda: _core(Km, build, 400 if mode == "tolerance" else 30, record=mode == "record", **opts)
+    solve = lambda: sinkhorn(GibbsKernel(Km, EPS, C), opts=SolverOptions(max_iterations=400, **opts))
+    want, (want_plan, _, want_traj) = run(), solve()
+    assert len(calls) == 1
+    if rows == 8:
+        monkeypatch.setattr(_backends, "BLOCK_ENTRIES", 300)
+    else:
+        monkeypatch.setattr(_backends, "row_block", lambda B: 12)
+    assert _backends.row_block(37) == rows
+    got, (got_plan, _, got_traj) = run(), solve()
+    assert got[-1] == want[-1] and got_plan.converged == want_plan.converged
+    assert got_traj.n_half == want_traj.n_half
+    pairs = list(zip(got[:4], want[:4])) + [(got_plan.matrix, want_plan.matrix)]
+    pairs += [(getattr(got_traj, k), getattr(want_traj, k)) for k in ("f", "g", "row_err", "col_err")]
+    if mode == "record":
+        pairs += list(zip(got[4], want[4]))
+    for x, y in pairs:
+        assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))

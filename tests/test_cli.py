@@ -207,6 +207,19 @@ def test_nan_options_are_usage_errors(cost_file, tmp_path, capsys, argv, message
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--loss", "rince", "--lambda", "nan"], "lam must be non-negative"),
+    (["--loss", "gca-rince", "--lambda", "nan"], "lam must be non-negative"),
+    (["--loss", "gca-rince", "--iters", "0"], "iteration count"),
+])
+def test_bad_loss_options_are_usage_errors(embedding_files, capsys, argv, message):
+    # as gca-ince does, gca-rince rejects --iters 0 instead of running one sweep
+    z1, z2 = embedding_files
+    assert main(["loss", z1, z2] + argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_loss_prints_value(embedding_files, capsys):
     z1, z2 = embedding_files
     assert main(["loss", "--loss", "ince", z1, z2, "--epsilon", "0.5"]) == 0

@@ -189,6 +189,26 @@ def test_rince_validation():
     rince_loss(Z, Z, lam=0.0)
 
 
+@pytest.mark.parametrize("fn", [rince_loss, gca_rince_loss, gca_uot_loss, rince_proximal_form])
+def test_a_nan_lam_is_rejected(rng, fn):
+    # NaN fails lam < 0 and lam > 0 alike, so it must fail the check itself
+    # rather than pass for lam = 0
+    Z1, Z2 = pair(rng)
+    with pytest.raises(LossError, match="lam must be non-negative"):
+        fn(Z1, Z2, lam=np.nan)
+
+
+@pytest.mark.parametrize("n_iters", [0, -3, 1.5, 2.5, np.nan, True])
+def test_gca_rince_checks_n_iters_as_gca_ince_does(rng, n_iters):
+    # the error names the caller's value, not the n_iters - 1 sweeps run
+    Z1, Z2 = pair(rng)
+    with pytest.raises(SolverError) as want:
+        gca_ince_loss(Z1, Z2, n_iters=n_iters)
+    with pytest.raises(SolverError) as got:
+        gca_rince_loss(Z1, Z2, n_iters=n_iters)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("penalty", ["lambda1", "lambda2"])
 @pytest.mark.parametrize("bad", [np.nan, -1.0])
 def test_gca_uot_rejects_a_penalty_that_is_not_non_negative(rng, penalty, bad):
@@ -395,6 +415,8 @@ DENSE_CASES = {
     "frozen": {"frozen": True},
     "lam0": {"lam": 0.0},
     "absorbing": {"epsilon": 0.05, "independent": True},
+    # several row blocks, the last one ragged (7 x 128 + 104 rows)
+    "B1000": {"B": 1000, "d": 16},
 }
 
 
@@ -405,7 +427,7 @@ def loss_kernel(Z1, Z2, eps):
 
 
 def dense_case_batch(rng, case):
-    Z1, Z2 = pair(rng)
+    Z1, Z2 = pair(rng, B=case.get("B", 8), d=case.get("d", 6))
     if not case.get("independent"):
         Z2 = normalize_rows(Z1 + 0.3 * rng.standard_normal(Z1.shape))
     return Z1, Z2
@@ -523,6 +545,17 @@ def test_gca_ince_lazy_plan_is_the_solver_plan(rng, half_step):
                                  opts=SolverOptions(max_iterations=n))
         want = traj.plan_at(2 * n - 1) if half_step else plan.matrix
         assert np.allclose(res.plan, want, rtol=1e-12, atol=0.0)
+    # over several row blocks, exactly: at a power-of-two eps the two kernels
+    # are equal, and the loss's loop (fixed) and the solver's (recording)
+    # make the same row pass
+    Z1, Z2 = pair(rng, B=1000, d=16)
+    assert _backends.row_block(1000) < 1000
+    for n in (1, 4):
+        res = gca_ince_loss(Z1, Z2, epsilon=0.25, n_iters=n, half_step=half_step)
+        plan, _, traj = sinkhorn(gibbs_kernel(cosine_cost(Z1, Z2), 0.25),
+                                 opts=SolverOptions(max_iterations=n))
+        want = traj.plan_at(2 * n - 1) if half_step else plan.matrix
+        assert np.array_equal(res.plan, want)
 
 
 def test_gca_ince_forms_no_dense_plan(rng, monkeypatch):
@@ -618,6 +651,64 @@ def test_ince_plan_is_the_softmax_read_once(rng):
     want /= want.sum(axis=1)[:, None]
     assert np.allclose(first, want, rtol=1e-12, atol=0.0)
     assert np.allclose(first.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.fixture(params=["rule", "single-row"])
+def ragged_blocks(request, monkeypatch):
+    """Split a B=37 batch into row blocks: by the block rule at a smaller
+    block (8, 8, 8, 8 and 5 rows), or 12, 12, 12 and 1 rows."""
+    def split():
+        if request.param == "rule":
+            monkeypatch.setattr(_backends, "BLOCK_ENTRIES", 300)
+        else:
+            monkeypatch.setattr(_backends, "row_block", lambda B: 12)
+        assert _backends.row_block(37) == {"rule": 8, "single-row": 12}[request.param]
+    return split
+
+
+def assert_close_to(got, want, rtol):
+    """Every float array within rtol of its largest entry, floats within
+    rtol relative, the rest equal."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_close_to(got[key], want[key], rtol)
+    elif isinstance(want, np.ndarray):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+    else:
+        assert abs(got - want) <= rtol * abs(want), (got, want)
+
+
+def test_row_blocks_give_the_one_block_results(rng, ragged_blocks):
+    # every loss over several row blocks, against the same call in one
+    # block; at eps = 0.05 the balanced loops and the lambda = 5 unbalanced
+    # one absorb, so the blocked kernel rebuild and damping run too
+    Z1, Z2 = pair(rng, B=37, d=6)
+    tgt = rng.uniform(0.5, 1.5, (37, 37))  # a diagonal that varies by row
+    cases = [("ince", {}), ("rince", {}), ("rince", {"lam": 0.0}), ("gca-ince", {}),
+             ("gca-ince", {"half_step": True}), ("gca-ince", {"target": tgt}),
+             ("gca-rince", {}), ("gca-rince", {"target": tgt}), ("gca-uot", {}),
+             ("gca-uot", {"target": tgt, "column_normalize": False}),
+             ("gca-uot", {"lambda1": 5.0, "lambda2": 5.0})]
+    runs = []
+    for eps in (0.5, 0.05):
+        for name, kw in cases:
+            res = LOSS_FUNCTIONS[name](Z1, Z2, epsilon=eps, **kw)
+            runs.append((name, dict(kw, epsilon=eps), res, res.plan))
+    ragged_blocks()
+    for name, kw, want, want_plan in runs:
+        got = LOSS_FUNCTIONS[name](Z1, Z2, **kw)
+        assert_close_to(got.value, want.value, 1e-13)
+        assert_close_to(got.grad_z1, want.grad_z1, 1e-13)
+        assert_close_to(got.grad_z2, want.grad_z2, 1e-13)
+        if want.frozen is not None:
+            assert_close_to(got.frozen, want.frozen, 1e-13)
+            refrozen = LOSS_FUNCTIONS[name](Z1, Z2, frozen=want.frozen, **kw)
+            assert_close_to(refrozen.grad_z1, want.grad_z1, 1e-13)
+            assert_close_to(refrozen.grad_z2, want.grad_z2, 1e-13)
+        if want_plan is not None:
+            assert_close_to(got.plan, want_plan, 1e-13)
 
 
 def test_rince_overflow_at_small_epsilon_raises(unit_batch):
