@@ -21,7 +21,6 @@ from .losses import (
     kl_plan_divergence,
     loss_grad_check,
     rince_loss,
-    rince_proximal_form,
 )
 from .metrics import (
     MetricError,
@@ -29,7 +28,7 @@ from .metrics import (
     kl_via_duals,
     uniformity_loss,
 )
-from .plans import PlanError, block_domain_plan, identity_plan, normalize_plan
+from .plans import PlanError, block_domain_plan
 from .solver import (
     Marginals,
     ScalingState,

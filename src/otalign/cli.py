@@ -13,7 +13,7 @@ import numpy as np
 from . import properties
 from .errors import OtalignError
 from .kernel import cosine_cost, gibbs_kernel, normalize_rows
-from .losses import LOSS_FUNCTIONS
+from .losses import LOSS_FUNCTIONS, _LOSS_PARAMETERS
 from .matio import (
     append_metrics_jsonl,
     read_matrix_bin,
@@ -121,21 +121,11 @@ def cmd_uot(args):
 def cmd_loss(args):
     Z1 = _load_matrix(args.z1)
     Z2 = _load_matrix(args.z2)
-    name = args.loss
-    if name == "byol":
-        res = LOSS_FUNCTIONS[name](Z1, Z2)
-    else:
-        kwargs = {"epsilon": args.epsilon}
-        if name in ("rince", "gca-rince", "gca-uot"):
-            kwargs["q"] = args.q
-            kwargs["lam"] = getattr(args, "lambda")
-        if name in ("gca-ince", "gca-rince", "gca-uot"):
-            kwargs["n_iters"] = args.iters
-        if name == "gca-uot":
-            kwargs["lambda1"] = args.lambda1
-            kwargs["lambda2"] = args.lambda2
-            kwargs["weight"] = args.w
-        res = LOSS_FUNCTIONS[name](Z1, Z2, **kwargs)
+    options = {"epsilon": args.epsilon, "q": args.q, "lam": getattr(args, "lambda"),
+               "n_iters": args.iters, "lambda1": args.lambda1, "lambda2": args.lambda2,
+               "weight": args.w}
+    accepted = _LOSS_PARAMETERS[args.loss]
+    res = LOSS_FUNCTIONS[args.loss](Z1, Z2, **{k: v for k, v in options.items() if k in accepted})
     print(f"{res.value:.6f}")
     if args.plan_out and res.plan is not None:
         _save_matrix(res.plan, args.plan_out)

@@ -7,6 +7,7 @@ carries the frozen quantities needed to re-evaluate the loss at perturbed
 embeddings, which is what the finite-difference checker uses.
 """
 
+import inspect
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -15,14 +16,14 @@ import numpy as np
 
 from . import _backends
 from ._backends import row_views
-from .errors import OtalignError
-from .kernel import check_epsilon, cosine_cost, cosine_kernel
-from .plans import check_batch_size
+from .errors import LossError
+from .kernel import _check_batch, check_epsilon, cosine_kernel
+# each loss call checks its batch once, so its cost builds take kernel's
+# unchecked body, bound to the name that the call-count tests and the
+# benchmark's spans wrap
+from .kernel import _cosine_cost as cosine_cost
+from .plans import PlanError
 from .solver import SolverError, SolverOptions, _gibbs_plan, check_kernel
-
-
-class LossError(OtalignError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -46,29 +47,18 @@ class LossResult:
         return None if self.make_plan is None else self.make_plan()
 
 
-def _check_batch(Z1, Z2):
-    """Two float (B, d) batches of one shape, B >= 1, every entry finite;
-    checked here in O(B d) so that no B x B pass meets a NaN or inf."""
-    Z1 = np.asarray(Z1, dtype=np.float64)
-    Z2 = np.asarray(Z2, dtype=np.float64)
-    if Z1.ndim != 2 or Z1.shape != Z2.shape:
-        raise LossError(f"embedding shapes differ: {Z1.shape} vs {Z2.shape}")
-    if Z1.shape[0] == 0:
-        raise LossError("empty batch: the embeddings have no rows")
-    if not (np.isfinite(Z1).all() and np.isfinite(Z2).all()):
-        raise LossError("non-finite embedding: a NaN or inf entry")
-    return Z1, Z2
-
-
 def _gca_batch(Z1, Z2, epsilon, target):
     """The gca-* prologue: (Z1, Z2, T, K, diag C, cost), T None for the
-    identity target.  ``cost`` builds the cosine cost on its first call
-    and returns it on later ones: the loop's first absorption and <T, C>
-    share one build."""
-    Z1, Z2 = _check_batch(Z1, Z2)
+    identity target.  The kernel build checks the batch, then epsilon.
+    ``cost`` builds the cosine cost on its first call and returns it on
+    later ones: the loop's first absorption and <T, C> share one build."""
+    K, c_diag = cosine_kernel(Z1, Z2, epsilon)
+    Z1 = np.asarray(Z1, dtype=np.float64)
+    Z2 = np.asarray(Z2, dtype=np.float64)
     B = Z1.shape[0]
     if target is None:
-        check_batch_size(B)
+        if B < 2:
+            raise PlanError("batch size must be at least 2")
         T = None
     else:
         T = np.asarray(target, dtype=np.float64)
@@ -78,7 +68,6 @@ def _gca_batch(Z1, Z2, epsilon, target):
             raise LossError("target must be non-negative")
         if not np.isfinite(T).all():
             raise LossError("target must be finite: it has a NaN or inf entry")
-    K, c_diag = cosine_kernel(Z1, Z2, epsilon)
     built = []
 
     def cost():
@@ -188,8 +177,9 @@ def kl_plan_divergence(target, P, floor=1e-300):
     P = np.asarray(P, dtype=np.float64)
     if target.shape != P.shape:
         raise LossError("plan shapes differ")
-    if np.any(target < 0) or np.any(P < 0):
-        raise LossError("plans must be non-negative")
+    # written so that a NaN entry fails it
+    if not (np.all((target >= 0) & (target < np.inf)) and np.all((P >= 0) & (P < np.inf))):
+        raise LossError("plans must be non-negative and finite")
     mask = target > 0
     if np.any(mask & (P <= 0)):
         raise LossError("target puts mass where the plan is zero")
@@ -335,22 +325,6 @@ def rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):
     return LossResult(value=value, grad_z1=grad_z1, grad_z2=grad_z2)
 
 
-def rince_proximal_form(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01):
-    """Robust objective written on the half-step scaled kernel.
-
-    Builds K, one row scaling u = 1/(K 1), and returns
-    (1/q) sum_i [(lam / u_i)^q - (diag(u K)_i / u_i)^q].  Equals
-    exp(-q/epsilon) times rince_loss of the same batch.
-    """
-    Z1, Z2 = _check_batch(Z1, Z2)
-    _check_rince(q, lam)
-    K, _ = cosine_kernel(Z1, Z2, epsilon)
-    u = 1.0 / (K.sum(axis=1))
-    pos = (u * np.diagonal(K) / u) ** q  # the diagonal of diag(u) K, over u
-    neg = (lam / u) ** q if lam > 0 else np.zeros_like(pos)
-    return float(np.sum(neg - pos) / q)
-
-
 def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
                    target=None, frozen=None):
     """Robust loss on the partially scaled kernel after n_iters sweeps.
@@ -360,7 +334,8 @@ def gca_rince_loss(Z1, Z2, epsilon=0.5, q=0.98, lam=0.01, n_iters=5,
     scaling leaving it.  Only the history v is frozen in the gradient;
     u is a function of the current kernel by definition, so the second
     term contributes the repulsive part.  One sweep with an identity
-    target reduces to the proximal form.
+    target is the proximal form of RINCE: exp(-q/epsilon) times
+    rince_loss of the same batch.
     """
     _check_rince(q, lam)
     Z1, Z2, T, K, _, cost = _gca_batch(Z1, Z2, epsilon, target)
@@ -493,6 +468,10 @@ LOSS_FUNCTIONS = {
     "gca-uot": gca_uot_loss,
     "byol": byol_loss,
 }
+
+# each loss's parameter names: the options a caller may pass it
+_LOSS_PARAMETERS = {name: frozenset(inspect.signature(fn).parameters)
+                    for name, fn in LOSS_FUNCTIONS.items()}
 
 # losses that stop the gradient on the second argument by contract
 _STOP_GRAD_Z2 = {"byol"}

@@ -3,23 +3,18 @@
 import numpy as np
 
 from .errors import OtalignError
+from .kernel import _check_batch
 
 
 class MetricError(OtalignError):
     pass
 
 
-def _pairs(Z1, Z2):
-    Z1 = np.asarray(Z1, dtype=np.float64)
-    Z2 = np.asarray(Z2, dtype=np.float64)
-    if Z1.shape != Z2.shape or Z1.ndim != 2:
-        raise MetricError(f"embedding shapes differ: {Z1.shape} vs {Z2.shape}")
-    return Z1, Z2
-
-
 def alignment_loss(Z1, Z2):
-    """Mean squared distance between paired embeddings."""
-    Z1, Z2 = _pairs(Z1, Z2)
+    """Mean squared distance between paired embeddings.
+
+    Raises LossError on a batch that ``kernel._check_batch`` rejects."""
+    Z1, Z2 = _check_batch(Z1, Z2)
     d = Z1 - Z2
     return float(np.mean(np.sum(d * d, axis=1)))
 

@@ -14,7 +14,6 @@ from .losses import (
     ince_loss,
     kl_plan_divergence,
     rince_loss,
-    rince_proximal_form,
 )
 from .metrics import kl_via_duals
 from .solver import SolverOptions, default_marginals, dual_objectives, sinkhorn
@@ -37,9 +36,10 @@ def ince_half_step_equivalence(Z1, Z2, epsilon):
 
 
 def rince_proximal_equivalence(Z1, Z2, epsilon, q, lam):
-    """|RINCE - e^{q/eps} times the proximal form|, relative to |RINCE|."""
+    """|RINCE - e^{q/eps} times the proximal form|, relative to |RINCE|;
+    the proximal form is one sweep of GCA-RINCE."""
     r1 = rince_loss(Z1, Z2, epsilon, q=q, lam=lam).value
-    r2 = np.exp(q / epsilon) * rince_proximal_form(Z1, Z2, epsilon, q=q, lam=lam)
+    r2 = np.exp(q / epsilon) * gca_rince_loss(Z1, Z2, epsilon, q=q, lam=lam, n_iters=1).value
     return abs(r1 - r2) / max(abs(r1), 1e-12)
 
 
@@ -47,7 +47,7 @@ def gca_rince_below_proximal(Z1, Z2, epsilon, lam):
     """GCA-RINCE after 5 sweeps minus its one-sweep proximal form, at q=1.
     Claimed to be at most 0; README gives a B=2 counterexample."""
     g5 = gca_rince_loss(Z1, Z2, epsilon, q=1.0, lam=lam, n_iters=5).value
-    return g5 - rince_proximal_form(Z1, Z2, epsilon, q=1.0, lam=lam)
+    return g5 - gca_rince_loss(Z1, Z2, epsilon, q=1.0, lam=lam, n_iters=1).value
 
 
 def kl_monotone_along_iterations(K, solved):

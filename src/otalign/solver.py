@@ -188,8 +188,9 @@ def hilbert_metric(u, u_star):
     """Projective distance log max_{i,j} (u_i u*_j) / (u_j u*_i)."""
     u = np.asarray(u, dtype=np.float64)
     u_star = np.asarray(u_star, dtype=np.float64)
-    if np.any(u <= 0) or np.any(u_star <= 0):
-        raise SolverError("hilbert_metric requires strictly positive vectors")
+    # written so that a NaN entry fails it
+    if not (np.all((u > 0) & (u < np.inf)) and np.all((u_star > 0) & (u_star < np.inf))):
+        raise SolverError("hilbert_metric requires strictly positive, finite vectors")
     r = np.log(u) - np.log(u_star)
     return float(np.max(r) - np.min(r))
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import OtalignError
 from .kernel import normalize_rows
-from .losses import LOSS_FUNCTIONS
+from .losses import LOSS_FUNCTIONS, _LOSS_PARAMETERS
 from .metrics import alignment_loss, uniformity_loss
 from .plans import block_domain_plan
 
@@ -71,6 +71,9 @@ class TrainConfig:
             raise TrainError("epochs must be non-negative")
         if self.lr <= 0:
             raise TrainError("learning rate must be positive")
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
+            raise TrainError("alpha and beta must be non-negative and finite, "
+                             f"got {self.alpha} and {self.beta}")
 
 
 def gen_blobs(k, m, d, n_per_cell, sigma_class=0.5, domain_offset_scale=1.0,
@@ -200,10 +203,11 @@ def encoder_backward(enc, cache, grad_Z):
 
 
 def _batch_loss(cfg, Z1, Z2, domains):
+    accepted = _LOSS_PARAMETERS[cfg.loss]
     kwargs = dict(cfg.loss_kwargs)
-    if cfg.loss != "byol":
+    if "epsilon" in accepted:
         kwargs.setdefault("epsilon", cfg.epsilon)
-    if (cfg.alpha > 0 or cfg.beta > 0) and cfg.loss in ("gca-ince", "gca-rince", "gca-uot"):
+    if (cfg.alpha > 0 or cfg.beta > 0) and "target" in accepted:
         kwargs["target"] = block_domain_plan(domains, cfg.alpha, cfg.beta)
     return LOSS_FUNCTIONS[cfg.loss](Z1, Z2, **kwargs)
 
@@ -320,14 +324,16 @@ def domain_alignment_experiment(alpha_values, beta, dataset, cfg=None,
     if np.unique(dataset.domain_labels).size < 2:
         raise TrainError("experiment needs at least two domains")
     cfg = cfg or TrainConfig(loss="gca-ince")
+    # every setting is checked before the first run
+    run_cfgs = [replace(cfg, loss="gca-ince", alpha=float(a), beta=float(beta))
+                for a in alpha_values]
     rows = []
-    for alpha in alpha_values:
-        run_cfg = replace(cfg, loss="gca-ince", alpha=float(alpha), beta=float(beta))
+    for run_cfg in run_cfgs:
         enc, _ = train_encoder(dataset, run_cfg, aug_cfg)
         H = encoder_representation(enc, dataset.points)
         rows.append(
             {
-                "alpha": float(alpha),
+                "alpha": run_cfg.alpha,
                 "class_acc": linear_probe(H, dataset.class_labels, seed=cfg.seed),
                 "domain_acc": linear_probe(H, dataset.domain_labels, seed=cfg.seed),
             }

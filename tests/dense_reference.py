@@ -1,8 +1,10 @@
 """Textbook dense formulas for the kernel and the InfoNCE losses, with
-their rounding-error bounds, and for two transport objectives:
-``dual_objective``, the entropic OT dual that ``solver.dual_objectives``
-evaluates through products with K, and ``uot_objective``, the unbalanced
-objective whose minimizer an unbalanced ``sinkhorn`` solve approaches.
+their rounding-error bounds; for the three gca-* losses, which compute
+their value and gradients through K and the scalings without forming the
+plan or d(loss)/dC; and for two transport objectives: ``dual_objective``,
+the entropic OT dual that ``solver.dual_objectives`` evaluates through
+products with K, and ``uot_objective``, the unbalanced objective whose
+minimizer an unbalanced ``sinkhorn`` solve approaches.
 
 Each formula is written as it reads, with fresh B x B arrays, and runs in
 any float dtype: in float64 it is the formula the library's fused code is
@@ -27,6 +29,10 @@ their bounds; both use the bound below, so tests allow twice it.
 """
 
 import numpy as np
+
+from otalign.kernel import cosine_cost, gibbs_kernel
+from otalign.losses import kl_plan_divergence
+from otalign.solver import SolverOptions, sinkhorn
 
 U = np.finfo(np.float64).eps / 2
 
@@ -151,6 +157,55 @@ def rince_proximal_form_error(Z1, Z2, eps, q, lam):
     else:
         neg = rel_neg = 0.0
     return (np.sum(rel_neg * neg + rel_pos * pos) + (B + 2) * U * np.sum(neg + pos)) / q
+
+
+def gca_ince(Z1, Z2, eps, target, n_iters=5, half_step=False, frozen=None):
+    """The plan, KL and d(loss)/dC of gca-ince as dense B x B matrices."""
+    tgt = np.eye(len(Z1)) if target is None else target
+    C = cosine_cost(Z1, Z2)
+    if frozen is not None:
+        P = np.exp((frozen["f"][:, None] + frozen["g"][None, :] - C) / eps)
+    else:
+        plan, _, traj = sinkhorn(gibbs_kernel(C, eps), opts=SolverOptions(max_iterations=n_iters))
+        P = traj.plan_at(2 * n_iters - 1) if half_step else plan.matrix
+    dLdC = (tgt - P) / eps
+    return kl_plan_divergence(tgt, P), -dLdC @ Z2, -dLdC.T @ Z1
+
+
+def gca_rince(Z1, Z2, eps, q, lam, target, v_prev):
+    tgt = np.eye(len(Z1)) if target is None else target
+    K = np.exp(-cosine_cost(Z1, Z2) / eps)
+    Kv = K @ v_prev
+    pos = (np.diag(K) * v_prev) ** q
+    neg = (lam * np.diag(tgt) * Kv) ** q if lam > 0 else np.zeros_like(pos)
+    dLdC = -(neg / np.maximum(Kv, 1e-300))[:, None] * (K * v_prev[None, :]) / eps
+    dLdC[np.diag_indices_from(dLdC)] += pos / eps
+    return float(np.sum(neg - pos) / q), -dLdC @ Z2, -dLdC.T @ Z1
+
+
+def gca_uot(Z1, Z2, eps, q, lam, weight, target, column_normalize,
+            log_u, log_v, log_v_prev):
+    B = len(Z1)
+    tgt = np.eye(B) if target is None else target
+    K = np.exp(-cosine_cost(Z1, Z2) / eps)
+    P = np.exp(log_u)[:, None] * K * np.exp(log_v)[None, :]
+    ti, tj = np.nonzero(tgt)
+    tv = tgt[ti, tj]
+    if column_normalize:
+        s = P.sum(axis=0)
+        kl = np.sum(tv * (np.log(tv) - np.log(P[ti, tj]) + np.log(s)[tj])) - tgt.sum() + B
+        Pw = P * (tgt.sum(axis=0) / s)[None, :]
+    else:
+        kl = np.sum(tv * (np.log(tv) - np.log(P[ti, tj]))) - tgt.sum() + P.sum()
+        Pw = P
+    pos = (np.diag(K) * np.exp(log_v_prev)) ** q
+    neg = (lam * np.diag(tgt) / np.exp(log_u)) ** q if lam > 0 else np.zeros_like(pos)
+    value = weight * np.sum(neg - pos) / q + (1.0 - weight) * kl
+    ck = (1.0 - weight) / eps
+    d = weight * pos / eps
+    g1 = ck * (Pw @ Z2 - tgt @ Z2) - d[:, None] * Z2
+    g2 = ck * (Pw.T @ Z1 - tgt.T @ Z1) - d[:, None] * Z1
+    return float(value), g1, g2
 
 
 def dual_objective(f, g, C, eps, marginals):

@@ -328,6 +328,20 @@ def test_train_sweep_alpha(capsys):
     assert all({"class_accuracy", "domain_accuracy"} <= set(r) for r in rows)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "nan"], ["--alpha=-1"], ["--beta", "nan"], ["--alpha", "inf"],
+    ["--sweep-alpha", "0,nan"],
+])
+def test_bad_target_weights_are_usage_errors(argv, capsys):
+    # NaN fails alpha > 0 as it fails alpha < 0: it must fail the check
+    # rather than train as alpha = 0 does; a sweep checks every weight first
+    rc = main(["train", "--epochs", "2", "--domains", "2", "--batch", "32", "--classes", "2",
+               "--dim", "8", "--n-per-cell", "20", *argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "alpha and beta must be non-negative and finite" in captured.err and captured.out == ""
+
+
 def test_metric_registry_is_what_train_writes(tmp_path, capsys):
     from otalign.matio import METRIC_REGISTRY
 

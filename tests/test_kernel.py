@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
+from otalign.errors import LossError
 from otalign.kernel import (
     KernelError,
     cosine_cost,
@@ -39,8 +40,23 @@ def test_cosine_cost_orthonormal():
 
 
 def test_cosine_cost_shape_mismatch():
-    with pytest.raises(KernelError, match="shape mismatch"):
+    # a malformed embedding batch is a LossError wherever it is met
+    with pytest.raises(LossError, match="shapes differ"):
         cosine_cost(np.ones((2, 3)), np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("bad", ["empty", "nan", "inf"])
+@pytest.mark.parametrize("build", [cosine_cost, lambda Z1, Z2: cosine_kernel(Z1, Z2, 0.5)],
+                         ids=["cost", "kernel"])
+def test_cost_and_kernel_reject_a_malformed_batch(unit_batch, build, bad):
+    # the losses' batch check: no NaN cost or kernel from a NaN embedding
+    Z1, Z2 = unit_batch(4, 3), unit_batch(4, 3)
+    if bad == "empty":
+        Z1, Z2 = Z1[:0], Z2[:0]
+    else:
+        Z2[1, 2] = np.nan if bad == "nan" else np.inf
+    with pytest.raises(LossError, match="empty batch" if bad == "empty" else "non-finite embedding"):
+        build(Z1, Z2)
 
 
 def test_cosine_cost_is_half_the_squared_distance_on_the_sphere(unit_batch):

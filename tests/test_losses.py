@@ -25,7 +25,6 @@ from otalign.losses import (
     kl_plan_divergence,
     loss_grad_check,
     rince_loss,
-    rince_proximal_form,
 )
 from otalign.plans import PlanError, block_domain_plan
 from otalign.solver import SolverError, SolverOptions, sinkhorn
@@ -89,6 +88,17 @@ def test_kl_plan_divergence_support_violation():
         kl_plan_divergence(tgt, P)
 
 
+@pytest.mark.parametrize("side", ["target", "plan"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_kl_plan_divergence_rejects_a_non_finite_entry(side, entry):
+    # verify's KL identities call this function: a NaN entry must raise,
+    # not give a NaN divergence that every tolerance check lets through
+    tgt, P = np.eye(2), np.full((2, 2), 0.5)
+    (tgt if side == "target" else P)[0, 1] = entry
+    with pytest.raises(LossError, match="non-negative and finite"):
+        kl_plan_divergence(tgt, P)
+
+
 # --------------------------------------------------------- exact identities
 
 
@@ -119,7 +129,7 @@ def test_gca_rince_one_iteration_equals_proximal(rng):
     for _ in range(5):
         Z1, Z2 = pair(rng)
         got = gca_rince_loss(Z1, Z2, epsilon=0.5, q=1.0, lam=0.01, n_iters=1).value
-        want = rince_proximal_form(Z1, Z2, epsilon=0.5, q=1.0, lam=0.01)
+        want = dense.rince_proximal_form(Z1, Z2, 0.5, 1.0, 0.01)
         assert abs(got - want) < 1e-12
 
 
@@ -189,7 +199,7 @@ def test_rince_validation():
     rince_loss(Z, Z, lam=0.0)
 
 
-@pytest.mark.parametrize("fn", [rince_loss, gca_rince_loss, gca_uot_loss, rince_proximal_form])
+@pytest.mark.parametrize("fn", [rince_loss, gca_rince_loss, gca_uot_loss])
 def test_a_nan_lam_is_rejected(rng, fn):
     # NaN fails lam < 0 and lam > 0 alike, so it must fail the check itself
     # rather than pass for lam = 0
@@ -302,10 +312,11 @@ def test_gca_losses_build_the_cost_only_when_absorption_fires(rng, monkeypatch, 
 
 # ------------------------------------------------ the textbook formulas
 #
-# ince, rince and rince_proximal_form build their B x B data in one
-# buffer, with 1/eps folded into the similarity and the row scalings
-# applied on the B x d side.  dense_reference holds the formulas as they
-# read with fresh arrays, and the rounding bounds they are compared at.
+# ince, rince and one-sweep gca-rince (the proximal form) build their
+# B x B data in one buffer, with 1/eps folded into the similarity and the
+# row scalings applied on the B x d side.  dense_reference holds the
+# formulas as they read with fresh arrays, and the rounding bounds they
+# are compared at.
 
 
 def assert_within(got, want, bound):
@@ -327,7 +338,7 @@ def test_fused_losses_match_the_textbook_formulas(rng, B):
             res = rince_loss(Z1, Z2, epsilon=eps, q=0.98, lam=lam)
             assert_within((res.value, res.grad_z1, res.grad_z2), dense.rince(Z1, Z2, eps, 0.98, lam),
                           dense.rince_error(Z1, Z2, eps, 0.98, lam))
-            prox = rince_proximal_form(Z1, Z2, epsilon=eps, q=0.98, lam=lam)
+            prox = gca_rince_loss(Z1, Z2, epsilon=eps, q=0.98, lam=lam, n_iters=1).value
             want = dense.rince_proximal_form(Z1, Z2, eps, 0.98, lam)
             if eps == 0.5:
                 # the kernel is exact at a power-of-two eps, and so is the rest
@@ -359,51 +370,8 @@ def test_fused_losses_are_as_accurate_as_the_textbook_formulas(rng):
         assert np.all(fused <= 2 * textbook), (name, fused / textbook)
 
 
-# ----------------------------------------- dense reference formulas
-#
-# gca-rince and gca-uot compute their value and gradients through K and
-# the scalings without forming the plan or d(loss)/dC.  These are the
-# same quantities written out with dense B x B matrices.
-
-
-def dense_gca_rince(Z1, Z2, eps, q, lam, target, v_prev):
-    tgt = np.eye(len(Z1)) if target is None else target
-    K = np.exp(-cosine_cost(Z1, Z2) / eps)
-    Kv = K @ v_prev
-    pos = (np.diag(K) * v_prev) ** q
-    neg = (lam * np.diag(tgt) * Kv) ** q if lam > 0 else np.zeros_like(pos)
-    dLdC = -(neg / np.maximum(Kv, 1e-300))[:, None] * (K * v_prev[None, :]) / eps
-    dLdC[np.diag_indices_from(dLdC)] += pos / eps
-    return float(np.sum(neg - pos) / q), -dLdC @ Z2, -dLdC.T @ Z1
-
-
-def dense_gca_uot(Z1, Z2, eps, q, lam, weight, target, column_normalize,
-                  log_u, log_v, log_v_prev):
-    B = len(Z1)
-    tgt = np.eye(B) if target is None else target
-    K = np.exp(-cosine_cost(Z1, Z2) / eps)
-    P = np.exp(log_u)[:, None] * K * np.exp(log_v)[None, :]
-    ti, tj = np.nonzero(tgt)
-    tv = tgt[ti, tj]
-    if column_normalize:
-        s = P.sum(axis=0)
-        kl = np.sum(tv * (np.log(tv) - np.log(P[ti, tj]) + np.log(s)[tj])) - tgt.sum() + B
-        Pw = P * (tgt.sum(axis=0) / s)[None, :]
-    else:
-        kl = np.sum(tv * (np.log(tv) - np.log(P[ti, tj]))) - tgt.sum() + P.sum()
-        Pw = P
-    pos = (np.diag(K) * np.exp(log_v_prev)) ** q
-    neg = (lam * np.diag(tgt) / np.exp(log_u)) ** q if lam > 0 else np.zeros_like(pos)
-    value = weight * np.sum(neg - pos) / q + (1.0 - weight) * kl
-    ck = (1.0 - weight) / eps
-    d = weight * pos / eps
-    g1 = ck * (Pw @ Z2 - tgt @ Z2) - d[:, None] * Z2
-    g2 = ck * (Pw.T @ Z1 - tgt.T @ Z1) - d[:, None] * Z1
-    return float(value), g1, g2
-
-
-def assert_matches_dense(res, dense, tol=1e-12):
-    value, g1, g2 = dense
+def assert_matches_dense(res, ref, tol=1e-12):
+    value, g1, g2 = ref
     assert abs(res.value - value) <= tol * abs(value), (res.value, value)
     for got, want in ((res.grad_z1, g1), (res.grad_z2, g2)):
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
@@ -453,7 +421,7 @@ def test_gca_rince_matches_dense_formula(rng, name):
     if case.get("frozen"):
         Z1 = normalize_rows(Z1 + 0.05 * rng.standard_normal(Z1.shape))
         res = gca_rince_loss(Z1, Z2, frozen=res.frozen, **kw)
-    assert_matches_dense(res, dense_gca_rince(Z1, Z2, eps, kw["q"], kw["lam"], kw["target"], v_prev))
+    assert_matches_dense(res, dense.gca_rince(Z1, Z2, eps, kw["q"], kw["lam"], kw["target"], v_prev))
 
 
 @pytest.mark.parametrize("name", list(DENSE_CASES) + ["unnormalized"])
@@ -476,22 +444,9 @@ def test_gca_uot_matches_dense_formula(rng, name):
     if case.get("frozen"):
         Z1 = normalize_rows(Z1 + 0.05 * rng.standard_normal(Z1.shape))
         res = gca_uot_loss(Z1, Z2, frozen=res.frozen, **kw)
-    dense = dense_gca_uot(Z1, Z2, eps, kw["q"], kw["lam"], kw["weight"], kw["target"],
-                          kw["column_normalize"], log_u, log_v, log_v_prev)
-    assert_matches_dense(res, dense)
-
-
-def dense_gca_ince(Z1, Z2, eps, target, n_iters=5, half_step=False, frozen=None):
-    """The plan, KL and d(loss)/dC of gca-ince as dense B x B matrices."""
-    tgt = np.eye(len(Z1)) if target is None else target
-    C = cosine_cost(Z1, Z2)
-    if frozen is not None:
-        P = np.exp((frozen["f"][:, None] + frozen["g"][None, :] - C) / eps)
-    else:
-        plan, _, traj = sinkhorn(gibbs_kernel(C, eps), opts=SolverOptions(max_iterations=n_iters))
-        P = traj.plan_at(2 * n_iters - 1) if half_step else plan.matrix
-    dLdC = (tgt - P) / eps
-    return kl_plan_divergence(tgt, P), -dLdC @ Z2, -dLdC.T @ Z1
+    want = dense.gca_uot(Z1, Z2, eps, kw["q"], kw["lam"], kw["weight"], kw["target"],
+                         kw["column_normalize"], log_u, log_v, log_v_prev)
+    assert_matches_dense(res, want)
 
 
 GCA_INCE_CASES = {
@@ -519,8 +474,8 @@ def test_gca_ince_matches_dense_formula(rng, name):
     kw = {"epsilon": eps, "n_iters": case.get("n_iters", 5),
           "half_step": case.get("half_step", False), "target": case.get("target")}
     res = gca_ince_loss(Z1, Z2, **kw)
-    dense = dense_gca_ince(Z1, Z2, eps, kw["target"], kw["n_iters"], kw["half_step"])
-    assert_matches_dense(res, dense)
+    want = dense.gca_ince(Z1, Z2, eps, kw["target"], kw["n_iters"], kw["half_step"])
+    assert_matches_dense(res, want)
     if name == "absorbing":
         # until the first absorption the recorded potentials are eps * log of
         # the live scalings, and the loop absorbs at the end of any iteration
@@ -532,7 +487,7 @@ def test_gca_ince_matches_dense_formula(rng, name):
         Z1 = normalize_rows(Z1 + 0.05 * rng.standard_normal(Z1.shape))
         frozen = res.frozen
         res = gca_ince_loss(Z1, Z2, frozen=frozen, **kw)
-        assert_matches_dense(res, dense_gca_ince(Z1, Z2, eps, kw["target"], frozen=frozen))
+        assert_matches_dense(res, dense.gca_ince(Z1, Z2, eps, kw["target"], frozen=frozen))
         assert loss_grad_check("gca-ince", Z1, Z2, config=kw) < 1e-5
 
 
@@ -560,14 +515,12 @@ def test_gca_ince_lazy_plan_is_the_solver_plan(rng, half_step):
 
 def test_gca_ince_forms_no_dense_plan(rng, monkeypatch):
     import otalign.losses
-    import otalign.plans
     import otalign.solver
 
     def forbidden(*args, **kwargs):
         raise AssertionError("gca_ince_loss formed a dense plan")
 
     for module, name in ((otalign.losses, "sinkhorn"), (otalign.solver, "sinkhorn"),
-                         (otalign.losses, "identity_plan"), (otalign.plans, "identity_plan"),
                          (otalign.losses, "kl_plan_divergence"),
                          (otalign.losses, "_gibbs_plan"), (otalign.solver, "_gibbs_plan")):
         monkeypatch.setattr(module, name, forbidden, raising=False)
@@ -723,7 +676,7 @@ def test_gca_losses_need_two_samples():
     # the identity target is undefined for a single sample
     Z = np.eye(3)[:1]
     for fn in (gca_ince_loss, gca_rince_loss, gca_uot_loss):
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="at least 2"):
             fn(Z, Z)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from otalign.errors import LossError
 from otalign.kernel import gibbs_kernel, normalize_rows
 from otalign.metrics import (
     MetricError,
@@ -24,8 +25,21 @@ def test_alignment_known_value():
 
 
 def test_alignment_shape_mismatch():
-    with pytest.raises(MetricError, match="shapes differ"):
+    # a malformed embedding batch is a LossError wherever it is met
+    with pytest.raises(LossError, match="shapes differ"):
         alignment_loss(np.ones((2, 2)), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("bad", ["empty", "nan"])
+def test_alignment_rejects_a_malformed_batch(unit_batch, bad):
+    # the mean over no pairs, or over a NaN pair, is NaN: refused instead
+    Z1, Z2 = unit_batch(4, 3), unit_batch(4, 3)
+    if bad == "empty":
+        Z1, Z2 = Z1[:0], Z2[:0]
+    else:
+        Z1[0, 0] = np.nan
+    with pytest.raises(LossError, match="empty batch" if bad == "empty" else "non-finite"):
+        alignment_loss(Z1, Z2)
 
 
 def test_uniformity_antipodal_oracle():

@@ -3,34 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otalign.plans import PlanError, block_domain_plan, identity_plan, normalize_plan
-
-
-def test_identity_plan_basic():
-    assert np.array_equal(identity_plan(3), np.eye(3))
-
-
-def test_identity_plan_rejects_small_batch():
-    with pytest.raises(PlanError, match="at least 2"):
-        identity_plan(1)
-
-
-def test_normalize_plan_default_mass():
-    P = normalize_plan(np.ones((4, 4)))
-    assert np.isclose(P.sum(), 4.0)
-    assert np.allclose(P, 0.25)
-
-
-def test_normalize_plan_explicit_mass():
-    P = normalize_plan(np.ones((2, 2)), total_mass=1.0)
-    assert np.isclose(P.sum(), 1.0)
-
-
-def test_normalize_plan_rejects_negative_and_zero():
-    with pytest.raises(PlanError, match="non-negative"):
-        normalize_plan(np.array([[1.0, -1.0], [0.0, 0.0]]))
-    with pytest.raises(PlanError, match="zero total mass"):
-        normalize_plan(np.zeros((2, 2)))
+from otalign.plans import PlanError, block_domain_plan
 
 
 def test_block_domain_plan_oracle():
@@ -44,6 +17,8 @@ def test_block_domain_plan_oracle():
     P = block_domain_plan([0, 0, 1, 1], 0.5, 0.0)
     assert np.allclose(P, expect * (4.0 / 6.0))
     assert np.isclose(P.sum(), 4.0)
+    # the rescaling is the one product B / sum, bit for bit
+    assert np.array_equal(P, raw * (4 / raw.sum()))
 
 
 def test_block_domain_plan_zero_params_is_identity():
@@ -60,6 +35,15 @@ def test_block_domain_plan_validation():
         block_domain_plan(np.zeros((2, 2)), 0.1, 0.0)
     with pytest.raises(PlanError, match="non-negative"):
         block_domain_plan([0, 1], -0.1, 0.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0)])
+def test_block_domain_plan_rejects_a_non_finite_weight(alpha, beta):
+    # NaN fails both alpha < 0 and alpha >= 0, and inf times the zero
+    # diagonal of ``off`` is NaN: the check must raise, not return an
+    # all-NaN target
+    with pytest.raises(PlanError, match="non-negative and finite"):
+        block_domain_plan([0, 1], alpha, beta)
 
 
 @settings(max_examples=50, deadline=None)

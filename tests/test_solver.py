@@ -193,6 +193,16 @@ def test_hilbert_metric_positivity():
         hilbert_metric([1.0, 0.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("u, u_star", [
+    ([np.nan, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, np.nan]), ([np.inf, 1.0], [1.0, 1.0]),
+])
+def test_hilbert_metric_rejects_a_non_finite_entry(u, u_star):
+    # NaN fails u <= 0 as it fails u > 0: the check must be written so that
+    # it raises, not return NaN
+    with pytest.raises(SolverError, match="strictly positive, finite"):
+        hilbert_metric(u, u_star)
+
+
 def test_marginal_error_oracle():
     P = np.array([[0.5, 0.5], [0.25, 0.25]])
     r, c = marginal_error(P, default_marginals(2))

@@ -96,6 +96,9 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(TrainError):
         TrainConfig(epochs=-1)
+    for weights in ({"alpha": np.nan}, {"alpha": -1.0}, {"beta": np.nan}, {"beta": np.inf}):
+        with pytest.raises(TrainError, match="alpha and beta must be non-negative and finite"):
+            TrainConfig(**weights)
 
 
 def test_encoder_forward_unit_norm(rng):
