@@ -29,12 +29,17 @@ def normalize_rows(matrix):
 
     Raises KernelError (with the row index) on a zero row.
     """
+    return _unit_rows(matrix)[0]
+
+
+def _unit_rows(matrix):
+    """``normalize_rows`` of a matrix, and its row norms as a column."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
-    bad = np.nonzero(norms == 0.0)[0]
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    bad = np.nonzero(norms[:, 0] == 0.0)[0]
     if bad.size:
         raise KernelError(f"zero row at index {bad[0]}")
-    return matrix / norms[:, None]
+    return matrix / norms, norms
 
 
 def _check_batch(Z1, Z2):
@@ -68,9 +73,9 @@ def _cosine_cost(Z1, Z2):
 
 
 def check_epsilon(epsilon):
-    """Raise KernelError unless eps > 0 (a NaN eps included)."""
-    if not epsilon > 0:
-        raise KernelError(f"epsilon must be positive, got {epsilon}")
+    """Raise KernelError unless 0 < eps < inf (a NaN eps included)."""
+    if not 0 < epsilon < np.inf:
+        raise KernelError(f"epsilon must be positive and finite, got {epsilon}")
 
 
 def gibbs_kernel(C, epsilon):
@@ -94,7 +99,7 @@ def cosine_kernel(Z1, Z2, epsilon):
     scales the B x d operand before the product, so no B x B pass divides
     by eps, and the cost itself is never kept.  Checks the batch first, as
     every loss does: LossError on a batch that ``_check_batch`` rejects,
-    then KernelError on eps <= 0.
+    then KernelError on eps <= 0 or eps = inf.
     """
     Z1, Z2 = _check_batch(Z1, Z2)
     check_epsilon(epsilon)

@@ -8,6 +8,7 @@ embeddings, which is what the finite-difference checker uses.
 """
 
 import inspect
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -189,8 +190,14 @@ def kl_plan_divergence(target, P, floor=1e-300):
 
 
 def _softmax_pass(Z1, Z2, epsilon, row_weight, plan=None):
-    """One pass over the row blocks of E = exp(S - m), S = Z1 Z2' / eps and
-    m its row maxima; no B x B array outlives its block.
+    """One pass over the row blocks of E = exp(S - m), S = Z1 Z2' / eps;
+    no B x B array outlives its block.
+
+    The shift m is one scalar, M = max_i |z1_i| max_j |z2_j| / eps, made in
+    O(B d) before the pass.  By Cauchy-Schwarz every s_ij lies in [-M, M],
+    so while 2M <= 700 each exp(s_ij - M) lies in [e^-700, 1]: no overflow,
+    and no underflow below the normal range.  Past that (a tiny eps, or
+    rows of large norm) m is S's row maxima, taken block by block.
 
     Returns (lse, s_diag, G1, G2): lse = log(row sums of E) + m and S's
     diagonal as full-length vectors, G1 = diag(w) E Z2 and G2 = E' diag(w) Z1,
@@ -200,12 +207,19 @@ def _softmax_pass(Z1, Z2, epsilon, row_weight, plan=None):
     """
     check_epsilon(epsilon)
     rows = _backends.row_block(Z1.shape[0])
+    M = math.sqrt(float(np.einsum("ij,ij->i", Z1, Z1).max())
+                  * float(np.einsum("ij,ij->i", Z2, Z2).max())) / epsilon
+    scalar_shift = 2.0 * M <= 700.0  # False for an inf M, and for 0 * inf = NaN
     lse, s_diag, G1, G2 = [], [], [], None
     for s, ZsI, Z1I in row_views(rows, Z1 * (1.0 / epsilon), Z1):
         E = ZsI @ Z2.T if plan is None else np.matmul(ZsI, Z2.T, out=plan[s:s + rows])
         s_diag.append(np.diagonal(E, s).copy())
-        m = E.max(axis=1)
-        E -= m[:, None]
+        if scalar_shift:
+            m = M
+            E -= M
+        else:
+            m = E.max(axis=1)
+            E -= m[:, None]
         np.exp(E, out=E)
         sums = E.sum(axis=1)
         lse.append(np.log(sums) + m)

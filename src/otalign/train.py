@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import OtalignError
-from .kernel import normalize_rows
+from .kernel import _unit_rows
 from .losses import LOSS_FUNCTIONS, _LOSS_PARAMETERS
 from .metrics import alignment_loss, uniformity_loss
 from .plans import block_domain_plan
@@ -166,8 +166,8 @@ def encoder_forward(enc, X):
     h1, h2 = _hidden(enc, X)
     zp = h2 @ enc.weights[2]
     zp += enc.biases[2]
-    Z = normalize_rows(zp)
-    return Z, {"X": X, "h1": h1, "h2": h2, "zp": zp, "Z": Z}
+    Z, norms = _unit_rows(zp)
+    return Z, {"X": X, "h1": h1, "h2": h2, "norms": norms, "Z": Z}
 
 
 def encoder_representation(enc, X):
@@ -186,17 +186,19 @@ def encoder_backward(enc, cache, grad_Z):
     if grad_Z.shape != cache["Z"].shape:
         raise TrainError("upstream gradient shape does not match cache")
     Z = cache["Z"]
-    norms = np.linalg.norm(cache["zp"], axis=1, keepdims=True)
-    gzp = (grad_Z - np.sum(grad_Z * Z, axis=1, keepdims=True) * Z) / norms
+    # (grad_Z - <grad_Z, z> Z) / |zp|, the same operations in one buffer
+    gzp = np.sum(grad_Z * Z, axis=1, keepdims=True) * Z
+    np.subtract(grad_Z, gzp, out=gzp)
+    gzp /= cache["norms"]
     gW3 = cache["h2"].T @ gzp
     gb3 = gzp.sum(axis=0)
-    gh2 = gzp @ enc.weights[2].T
     # h = max(a, 0), so h > 0 exactly where a > 0
-    ga2 = gh2 * (cache["h2"] > 0)
+    ga2 = gzp @ enc.weights[2].T
+    ga2 *= cache["h2"] > 0
     gW2 = cache["h1"].T @ ga2
     gb2 = ga2.sum(axis=0)
-    gh1 = ga2 @ enc.weights[1].T
-    ga1 = gh1 * (cache["h1"] > 0)
+    ga1 = ga2 @ enc.weights[1].T
+    ga1 *= cache["h1"] > 0
     gW1 = cache["X"].T @ ga1
     gb1 = ga1.sum(axis=0)
     return [gW1, gW2, gW3], [gb1, gb2, gb3]

@@ -18,8 +18,9 @@ With unit roundoff u and gamma_n = n u:
 - a similarity s_ij = <z1_i, z2_j> / eps is off by at most
   (d + 5) u / eps however it is rounded: gamma_d for the inner product, u
   for 1/eps, u for scaling Z1 by it or for dividing by eps, and 2u / eps
-  for the shift by 1 (kernel) or by the row maximum (losses), each
-  |s_ij - 1/eps| and |s_ij - m_i| being at most 2 / eps;
+  for the shift by 1 (kernel) or by M = max |z1_i| max |z2_j| / eps or
+  the row maximum (losses), each |s_ij - 1/eps|, |s_ij - M| and
+  |s_ij - m_i| being at most 2 / eps;
 - exp and log add at most 2u relative and u of their result;
 - a sum of B non-negative terms, and each entry of a product with B terms,
   adds gamma_B relative to the sum of the absolute terms.

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,28 @@ def test_nan_options_are_usage_errors(cost_file, tmp_path, capsys, argv, message
     out = str(tmp_path / "plan.csv")
     assert main([a.format(cost=cost_file) for a in argv] + ["--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{cost}", "--out", "{out}"],
+    ["uot", "{cost}", "--out", "{out}"],
+    ["loss", "--loss", "ince", "{z1}", "{z2}"],
+    ["loss", "--loss", "gca-ince", "{z1}", "{z2}"],
+    ["train", "--epochs", "1", "--batch", "32", "--classes", "2", "--dim", "8",
+     "--n-per-cell", "20"],
+])
+def test_an_infinite_epsilon_is_a_usage_error(cost_file, embedding_files, tmp_path, capsys, argv):
+    # the kernel's check rejects it before any numpy warning is printed
+    out = str(tmp_path / "plan.csv")
+    z1, z2 = embedding_files
+    args = [a.format(cost=cost_file, out=out, z1=z1, z2=z2) for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args + ["--epsilon", "inf"]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert "epsilon must be positive and finite, got inf" in captured.err and captured.out == ""
     assert not os.path.exists(out)
 
 

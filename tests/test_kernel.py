@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,14 @@ def test_cosine_kernel_is_as_accurate_as_the_cost_kernel(rng):
 def test_gibbs_kernel_rejects_bad_epsilon():
     with pytest.raises(KernelError, match="epsilon must be positive"):
         gibbs_kernel(np.zeros((2, 2)), 0.0)
+    # exp(-C / inf) = 1 everywhere, and cosine_kernel's C_ii = -eps x_ii
+    # was 0 * inf = NaN: both raise, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: gibbs_kernel(np.zeros((2, 2)), np.inf),
+                      lambda: cosine_kernel(np.eye(2), np.eye(2), np.inf)):
+            with pytest.raises(KernelError, match="epsilon must be positive and finite, got inf"):
+                build()
 
 
 @settings(max_examples=50, deadline=None)

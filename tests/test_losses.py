@@ -581,12 +581,16 @@ def test_empty_batch_raises(fn):
         fn(Z, Z)
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.5, np.nan])
+@pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf])
 @pytest.mark.parametrize("fn", TRANSPORT_LOSSES)
 def test_every_loss_rejects_a_non_positive_epsilon(rng, fn, eps):
+    # eps = inf made the kernel's diagonal 0 * inf = NaN: it fails the
+    # check too, before any numpy warning
     Z1, Z2 = pair(rng)
-    with pytest.raises(KernelError, match="epsilon must be positive"):
-        fn(Z1, Z2, epsilon=eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelError, match="epsilon must be positive and finite"):
+            fn(Z1, Z2, epsilon=eps)
     if fn is rince_loss:
         # lam = 0 skips the gradient GEMMs, but checks eps all the same
         with pytest.raises(KernelError, match="epsilon must be positive"):
@@ -662,6 +666,83 @@ def test_row_blocks_give_the_one_block_results(rng, ragged_blocks):
             assert_close_to(refrozen.grad_z2, want.grad_z2, 1e-13)
         if want_plan is not None:
             assert_close_to(got.plan, want_plan, 1e-13)
+
+
+@pytest.mark.parametrize("B", [8, 64, 300, 1024])
+def test_both_softmax_shifts_match_the_textbook_formulas(rng, ragged_blocks, B):
+    # ince and rince over ragged row blocks, on the scalar shift (2M <= 700)
+    # and on the row-max one: unit rows at eps = 1e-3 (2M = 2000), rows of
+    # norm 0.1-3 there, whose short rows fall more than 745 below M, and
+    # rows of norm 20 at eps = 0.5 (2M = 1600)
+    ragged_blocks()
+    Z1, Z2 = pair(rng, B=B, d=16)
+    Z2 = normalize_rows(Z1 + 0.3 * Z2)
+    norms = rng.uniform(0.1, 3.0, (2, B, 1))
+    # (Z1, Z2, eps, whether e^{q s_ii} of rince stays finite)
+    cases = [(Z1, Z2, eps, True) for eps in (0.05, 0.5, 2.0)]
+    cases += [(Z1 * norms[0], Z2 * norms[1], eps, True) for eps in (0.05, 0.5, 2.0)]
+    cases += [(Z1, Z2, 1e-3, False), (Z1 * norms[0], Z2 * norms[1], 1e-3, False),
+              (20 * Z1, 20 * Z2, 0.5, False)]
+    for A, C, eps, finite_rince in cases:
+        res = ince_loss(A, C, epsilon=eps)
+        assert_within((res.value, res.grad_z1, res.grad_z2), dense.ince(A, C, eps),
+                      dense.ince_error(A, C, eps))
+        assert np.allclose(res.plan.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        if finite_rince:
+            res = rince_loss(A, C, epsilon=eps, q=0.98, lam=0.01)
+            assert_within((res.value, res.grad_z1, res.grad_z2), dense.rince(A, C, eps, 0.98, 0.01),
+                          dense.rince_error(A, C, eps, 0.98, 0.01))
+
+
+def test_rince_on_the_row_max_shift_is_as_accurate_as_the_textbook_formula(rng):
+    # rows of norm 20 at eps = 1 (2M = 800) and of norm 25 at eps = 1.5
+    # (2M = 833), where e^{q s_ii} stays finite.  The bounds assume unit
+    # rows, so the check is the one the scalar shift meets at eps 0.05-2
+    # above: the mean error against a long-double evaluation is at most
+    # twice that of the textbook formula in float64
+    errs = np.zeros((2, 3))
+    for B in (8, 64, 256):
+        for d in (4, 16):
+            Z1, Z2 = pair(rng, B=B, d=d)
+            Z2 = normalize_rows(Z1 + 0.3 * Z2)
+            for r, eps in ((20, 1.0), (25, 1.5)):
+                A, C = r * Z1, r * Z2
+                exact = dense.rince(*dense.long_double(A, C), eps, 0.98, 0.01)
+                res = rince_loss(A, C, epsilon=eps, q=0.98, lam=0.01)
+                errs[0] += dense.relative_errors((res.value, res.grad_z1, res.grad_z2), exact)
+                errs[1] += dense.relative_errors(dense.rince(A, C, eps, 0.98, 0.01), exact)
+    assert np.all(errs[0] <= 2 * errs[1]), errs[0] / errs[1]
+
+
+def exact_norm_rows(rng):
+    """Eight rows of norm 9/8 in three dimensions, signed permutations of
+    integer vectors over 8: every similarity at a power-of-two eps, and
+    M = (81/64) / eps, is exact.  Z2 holds a copy of Z1's first row and
+    the negation of its second, so S reaches both M and -M."""
+    base = np.array([[1, 4, 8], [4, 4, 7], [8, 4, 1], [4, 8, 1],
+                     [7, 4, 4], [1, 8, 4], [4, 1, 8], [8, 1, 4]], dtype=np.float64) / 8
+    Z1 = base * rng.choice([-1.0, 1.0], base.shape)
+    Z2 = base[rng.permutation(8)] * rng.choice([-1.0, 1.0], base.shape)
+    Z2[0], Z2[1] = Z1[0], -Z1[1]
+    return Z1, Z2
+
+
+@pytest.mark.parametrize("eps, scalar", [(0.5, True), (2.0 ** -8, True), (2.0 ** -9, False)])
+def test_softmax_shift_is_the_cauchy_schwarz_bound_while_2m_is_at_most_700(rng, eps, scalar):
+    # 2M = 2.53125 / eps: 648 at eps = 2^-8, where every exp(s_ij - M) is
+    # at least e^-648, and 1296 at eps = 2^-9, where the rows shift by their
+    # maxima.  The plan is exp(S - shift) / row sums bit for bit
+    Z1, Z2 = exact_norm_rows(rng)
+    S = Z1 @ Z2.T / eps
+    M = (81 / 64) / eps
+    assert S.max() == M and S.min() == -M
+    shift = M if scalar else S.max(axis=1)[:, None]
+    E = np.exp(S - shift)
+    res = ince_loss(Z1, Z2, epsilon=eps)
+    assert np.array_equal(res.plan, E / E.sum(axis=1)[:, None])
+    assert res.value == float(np.sum(np.log(E.sum(axis=1)) + np.ravel(shift) - np.diagonal(S)))
+    if scalar:
+        assert E.min() == np.exp(-2 * M) > 0
 
 
 def test_rince_overflow_at_small_epsilon_raises(unit_batch):

@@ -175,7 +175,7 @@ def test_epoch_metrics_keep_no_backward_cache():
         tracemalloc.stop()
     # the n x n uniformity buffer, both augmented views (n x d), both
     # embeddings (n x 16), and room for one n x 64 hidden layer; a kept
-    # forward cache (X, h1, h2, zp, Z) alone would exceed that room
+    # forward cache (X, h1, h2, Z and the row norms) alone would exceed that room
     bound = 8 * (n * n + 2 * n * d + 2 * n * 16 + n * 64)
     assert peak < bound, (peak, bound)
 
